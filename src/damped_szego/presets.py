@@ -54,7 +54,6 @@ class ExperimentConfig:
     record_stride: int = 10
     krasny_threshold: float = 1e-12
     sobolev_exponents: tuple = (1.0,)
-    dealias: bool = False
     spectrum_size: int = 128
     cluster_tol: float = 1e-8
     rank_cutoff: float = None
@@ -113,7 +112,6 @@ _CONFIG_KEYS = {
     "record_stride": int,
     "krasny_threshold": float,
     "sobolev_exponents": "floats",
-    "dealias": "bool",
     "spectrum_size": int,
     "cluster_tol": float,
     "rank_cutoff": float,
@@ -265,7 +263,6 @@ def _run_pde(cfg: ExperimentConfig) -> ExperimentResult:
         krasny_threshold=cfg.krasny_threshold,
         record_stride=cfg.record_stride,
         sobolev_exponents=cfg.sobolev_exponents,
-        dealias=cfg.dealias,
     )
     snaps = tuple(t for t in cfg.snapshot_times if t <= cfg.t_end + 1e-12)
     result = evolve(u0, solver_cfg, snapshot_times=snaps)

@@ -2,8 +2,9 @@
 
 The evolution is i du/dt + i*alpha*(u|1) = P(|u|^2 u) with P the
 nonnegative-frequency projector.  The cubic term is evaluated by
-transforming to the grid, multiplying pointwise and projecting back;
-the damping acts on the zero mode only.
+transforming to a grid, multiplying pointwise and projecting back; each
+step sizes that grid to the band of live modes, which keeps it alias-free.
+The damping acts on the zero mode only.
 """
 
 import warnings
@@ -40,10 +41,8 @@ class SolverConfig:
     t_end: float
     grid_size: int
     krasny_threshold: float = 1e-12
-    krasny_relative: bool = False
     record_stride: int = 1
     sobolev_exponents: tuple = (1.0,)
-    dealias: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -98,51 +97,87 @@ class SolverResult:
     resolution_loss_time: float = None
 
 
-def _nonlinear_coeffs(c: np.ndarray, n: int, dealias: bool) -> np.ndarray:
-    """Projected cubic term P(|u|^2 u) in coefficient space.
+def _band(c: np.ndarray, k: int) -> int:
+    """Support of the cubic term of ``c``, 2*ka - 1 modes for ka live ones, capped at ``k``."""
+    live = np.flatnonzero(c)
+    return min(k, 2 * int(live[-1]) + 1) if live.shape[0] else 1
 
-    The collocation-grid offset drops out of the round trip for even N, so
-    the plain FFT grid is used here.  With ``dealias`` the product is formed
-    on a doubled grid, which removes aliasing from the cubic term entirely.
+
+def _grid(b: int, n: int) -> int:
+    """Smallest power of two >= 2b - 1, capped at the full grid ``n``."""
+    return min(n, 1 << (2 * b - 2).bit_length())
+
+
+def _nonlinear_coeffs(c: np.ndarray, m: int) -> np.ndarray:
+    """Projected cubic term P(|u|^2 u) on the modes of ``c``, from an m-point grid.
+
+    With b = len(c) the product holds frequencies -(b-1) .. 2b-2, so for
+    m >= 2b - 1 none of them aliases onto the output modes 0 .. b-1.  The
+    collocation-grid offset drops out of the round trip for even m, so the
+    plain FFT grid is used here.
     """
-    k = c.shape[0]
-    m = 2 * n if dealias else n
-    full = np.zeros(m, dtype=complex)
-    full[:k] = c
-    v = np.fft.ifft(full) * m
-    w = v * v * np.conj(v)
-    return np.fft.fft(w)[:k] / m
+    v = np.fft.ifft(c, m, norm="forward")
+    return np.fft.fft(v * v * np.conj(v), norm="forward")[: c.shape[0]]
 
 
-def _rhs_coeffs(c: np.ndarray, n: int, alpha: float, dealias: bool) -> np.ndarray:
-    out = -1j * _nonlinear_coeffs(c, n, dealias)
+def _rhs_coeffs(c: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    out = -1j * _nonlinear_coeffs(c, m)
     out[0] -= alpha * c[0]
     return out
 
 
-def rhs(u: HardyState, alpha: float, dealias: bool = False) -> HardyState:
-    """Time derivative du/dt = -i P(|u|^2 u) - alpha*(u|1) e_0."""
-    return HardyState(_rhs_coeffs(u.coeffs, u.grid_size, alpha, dealias), u.grid_size)
-
-
-def _rk4_coeffs(c, n, alpha, dt, dealias):
-    k1 = _rhs_coeffs(c, n, alpha, dealias)
-    k2 = _rhs_coeffs(c + (0.5 * dt) * k1, n, alpha, dealias)
-    k3 = _rhs_coeffs(c + (0.5 * dt) * k2, n, alpha, dealias)
-    k4 = _rhs_coeffs(c + dt * k3, n, alpha, dealias)
+def _rk4_coeffs(c, m, alpha, dt):
+    k1 = _rhs_coeffs(c, m, alpha)
+    k2 = _rhs_coeffs(c + (0.5 * dt) * k1, m, alpha)
+    k3 = _rhs_coeffs(c + (0.5 * dt) * k2, m, alpha)
+    k4 = _rhs_coeffs(c + dt * k3, m, alpha)
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step(u: HardyState, alpha: float, dt: float, krasny_threshold: float = 0.0,
-             dealias: bool = False) -> HardyState:
+def _step(c, b, n, alpha, dt, threshold, t):
+    """One RK4 step of ``c`` on its band b (see ``_band``), then the roundoff filter.
+
+    The four stages run on the first b modes: stage 1 fills them
+    exactly, and what stages 2-4 would put above b is a product of
+    coefficients below the filter threshold.  Should the filtered step still
+    reach mode b-1 (the band was not padded enough, as with the filter off),
+    the step is redone on the full grid.  Returns the length-K state and the
+    moduli of its first b modes; raises :class:`BlowUpError` at ``t`` on
+    non-finite data.
+    """
+    k = c.shape[0]
+    while True:
+        cb = _rk4_coeffs(c[:b], _grid(b, n), alpha, dt)
+        if not np.all(np.isfinite(cb)):
+            raise BlowUpError(t)
+        a = np.abs(cb)
+        if threshold > 0:
+            keep = a >= threshold
+            cb = np.where(keep, cb, 0.0)
+            a = np.where(keep, a, 0.0)
+        if b == k or cb[b - 1] == 0:
+            break
+        b = k
+    out = np.zeros(k, dtype=complex)
+    out[:b] = cb
+    return out, a
+
+
+def rhs(u: HardyState, alpha: float) -> HardyState:
+    """Time derivative du/dt = -i P(|u|^2 u) - alpha*(u|1) e_0."""
+    c = u.coeffs
+    b = _band(c, c.shape[0])
+    out = np.zeros(c.shape[0], dtype=complex)
+    out[:b] = _rhs_coeffs(c[:b], _grid(b, u.grid_size), alpha)
+    return HardyState(out, u.grid_size)
+
+
+def rk4_step(u: HardyState, alpha: float, dt: float, krasny_threshold: float = 0.0) -> HardyState:
     """One classical RK4 step, followed by the roundoff filter when enabled."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    c = _rk4_coeffs(u.coeffs, u.grid_size, alpha, dt, dealias)
-    if not np.all(np.isfinite(c)):
-        raise BlowUpError(dt)
-    if krasny_threshold > 0:
-        c = np.where(np.abs(c) < krasny_threshold, 0.0, c)
+    c = u.coeffs
+    c, _ = _step(c, _band(c, c.shape[0]), u.grid_size, alpha, dt, krasny_threshold, dt)
     return HardyState(c, u.grid_size)
 
 
@@ -172,10 +207,6 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
     c = u0.coeffs.astype(complex).copy()
     kk = np.arange(c.shape[0], dtype=float)
     hs_weights = {s: (1.0 + kk * kk) ** s for s in cfg.sobolev_exponents}
-
-    threshold = cfg.krasny_threshold
-    if cfg.krasny_relative and threshold > 0:
-        threshold *= float(np.max(np.abs(c))) if c.shape[0] else 0.0
 
     snap_steps = {}
     for ts in snapshot_times:
@@ -210,24 +241,19 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
             )
 
     record(0, np.abs(c))
+    band = _band(c, c.shape[0])
     if 0 in snap_steps:
         snapshots.append((0.0, HardyState(c, n)))
 
     for i in range(1, n_steps + 1):
-        c = _rk4_coeffs(c, n, cfg.alpha, dt, cfg.dealias)
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(i * dt)
-        a = np.abs(c)
-        if threshold > 0:
-            keep = a >= threshold
-            c = np.where(keep, c, 0.0)
-            a = np.where(keep, a, 0.0)
+        c, a = _step(c, band, n, cfg.alpha, dt, cfg.krasny_threshold, i * dt)
+        band = _band(a, c.shape[0])
         if float((a * a).sum()) > _L2_ABORT:
             raise BlowUpError(i * dt)
         if i in snap_steps:
             snapshots.append((i * dt, HardyState(c, n)))
         if i % cfg.record_stride == 0 or i == n_steps:
-            record(i, a)
+            record(i, np.abs(c))
 
     series = DiagnosticsSeries(
         t=np.asarray(rows_t),

@@ -56,3 +56,40 @@ def finite_diff(f, t: float, h: float):
     d1 = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)
     d2 = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
     return d1, d2
+
+
+def full_grid_rhs(c: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """-i P(|u|^2 u) - alpha*(u|1) e_0 with every transform on the full N-point grid."""
+    v = np.fft.ifft(c, n) * n
+    out = -1j * np.fft.fft(v * v * np.conj(v))[: c.shape[0]] / n
+    out[0] -= alpha * c[0]
+    return out
+
+
+def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, ratio=1e-8):
+    """Full-grid RK4 plus Krasny filter.
+
+    Returns rows (t, l2_sq, momentum, |u^(0)|, H^1 norm squared) every
+    ``stride`` steps and at the end, and the first record time at which the
+    last mode exceeds ``ratio`` of the largest (None if never).
+    """
+    n = u0.grid_size
+    c = u0.coeffs.astype(complex)
+    kk = np.arange(c.shape[0])
+    rows, loss_time = [], None
+    for i in range(n_steps + 1):
+        if i:
+            k1 = full_grid_rhs(c, n, alpha)
+            k2 = full_grid_rhs(c + 0.5 * dt * k1, n, alpha)
+            k3 = full_grid_rhs(c + 0.5 * dt * k2, n, alpha)
+            k4 = full_grid_rhs(c + dt * k3, n, alpha)
+            c = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if threshold > 0:
+                c = np.where(np.abs(c) >= threshold, c, 0.0)
+        if i % stride == 0 or i == n_steps:
+            a = np.abs(c)
+            sq = a * a
+            rows.append((i * dt, sq.sum(), (kk * sq).sum(), a[0], ((1 + kk * kk) * sq).sum()))
+            if loss_time is None and a[-1] > ratio * a.max() > 0:
+                loss_time = i * dt
+    return np.array(rows), loss_time

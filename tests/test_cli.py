@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import damped_szego
 from damped_szego.errors import ConfigError
 from damped_szego.initial_conditions import parse_initial_condition
 from damped_szego.presets import (
@@ -16,11 +18,17 @@ from damped_szego.presets import (
 )
 
 
+# The child interpreter imports the package from where this one found it.
+_SRC = os.path.dirname(os.path.dirname(damped_szego.__file__))
+
+
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "damped_szego", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc
 
@@ -66,14 +74,18 @@ def test_config_file_parsing(tmp_path):
         "dt = 1e-3\n"
         "t_end = 0.05\n"
         "sobolev_exponents = 0.5, 1.0\n"
-        "dealias = true\n"
     )
     overrides = load_config_file(cfg_file)
     assert overrides["grid_size"] == 128
     assert overrides["sobolev_exponents"] == (0.5, 1.0)
-    assert overrides["dealias"] is True
     cfg = build_config("custom", overrides)
     assert cfg.alpha == 0.5 and cfg.grid_size == 128
+
+    # the band-sized grid is alias-free, so the old doubled-grid key is gone
+    cfg_file.write_text("dealias = true\n")
+    with pytest.raises(ConfigError) as err:
+        load_config_file(cfg_file)
+    assert err.value.field == "dealias"
 
 
 def test_config_file_reports_line_and_field(tmp_path):

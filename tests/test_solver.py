@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damped_szego.errors import BlowUpError, ResolutionLossWarning
 from damped_szego.hardy import HardyState
 from damped_szego.hankel import eigenvalues, gram_k
-from damped_szego.initial_conditions import pole_state
+from damped_szego.initial_conditions import parse_initial_condition, pole_state
 from damped_szego.reporting import diagnostics_csv
 from damped_szego.solver import (
     SolverConfig,
+    _grid,
+    _nonlinear_coeffs,
     check_lyapunov,
     evolve,
     krasny_filter,
     rhs,
     rk4_step,
 )
+
+from helpers import full_grid_evolve, full_grid_rhs
 
 
 def mode_state(values, n):
@@ -47,12 +53,24 @@ def test_rhs_constant_state():
     assert np.max(np.abs(out.coeffs[1:])) < 1e-15
 
 
-def test_rhs_dealias_agrees_on_resolved_state():
-    u = pole_state(0.4, 256)
-    a = rhs(u, 1.0, dealias=False).coeffs
-    b = rhs(u, 1.0, dealias=True).coeffs
-    # aliasing only pollutes the (zero-padded) unresolved tail here
-    assert np.max(np.abs(a - b)) < 1e-13
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_band_grid_is_alias_free(data):
+    n = data.draw(st.sampled_from([16, 64, 256, 1024]))
+    ka = data.draw(st.integers(1, n // 4))
+    alpha = data.draw(st.floats(0.0, 3.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # ka live modes: the cubic term fills exactly the b = 2*ka - 1 lowest modes
+    u = mode_state(rng.standard_normal(ka) + 1j * rng.standard_normal(ka), n)
+    expected = full_grid_rhs(u.coeffs, n, alpha)
+    out = rhs(u, alpha).coeffs
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # an RK4 stage input fills all b modes; its term on them must still be exact
+    b = 2 * ka - 1
+    band = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    expected = full_grid_rhs(band, n, 0.0)
+    out = -1j * _nonlinear_coeffs(band, _grid(b, n))
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 # --- single steps ----------------------------------------------------------
@@ -153,6 +171,30 @@ def test_evolve_snapshots():
     assert np.array_equal(result.snapshots[0][1].coeffs, u0.coeffs)
 
 
+@pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")
+@pytest.mark.parametrize(
+    "u0, dt, t_end, threshold",
+    [
+        (parse_initial_condition("gaussian:10", 1024), 2e-3, 5.0, 1e-12),
+        (pole_state(0.5, 256), 1e-3, 3.0, 1e-12),
+        # filter off on a zero-padded state: each band step fills its last
+        # mode, so the first step is redone on the full grid
+        (mode_state([0.5, 0.8, 0.6j, 0.3], 64), 1e-2, 1.0, 0.0),
+    ],
+    ids=["gaussian", "pole", "unfiltered"],
+)
+def test_evolve_matches_full_grid_oracle(u0, dt, t_end, threshold):
+    cfg = SolverConfig(alpha=1.0, dt=dt, t_end=t_end, grid_size=u0.grid_size,
+                       krasny_threshold=threshold, record_stride=10)
+    result = evolve(u0, cfg)
+    rows, loss_time = full_grid_evolve(u0, 1.0, dt, cfg.n_steps, threshold, 10)
+    series = result.diagnostics
+    assert np.array_equal(series.t, rows[:, 0])
+    for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.hs_sq[1.0]), 1):
+        assert np.max(np.abs(got - rows[:, col])) <= 1e-12 * np.max(np.abs(rows[:, col]))
+    assert result.resolution_loss_time == loss_time
+
+
 def test_evolve_grid_mismatch():
     u0 = pole_state(0.5, 64)
     cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0, grid_size=128)
@@ -244,12 +286,3 @@ def test_config_validation():
         SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0, grid_size=64, krasny_threshold=1.5)
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0, grid_size=64, sobolev_exponents=(0.2,))
-
-
-def test_evolve_with_dealias_matches_on_resolved_data():
-    u0 = pole_state(0.4, 256)
-    kw = dict(alpha=1.0, dt=1e-3, t_end=0.5, grid_size=256, record_stride=100)
-    plain = evolve(u0, SolverConfig(**kw)).u_final.coeffs
-    padded = evolve(u0, SolverConfig(dealias=True, **kw)).u_final.coeffs
-    # the resolved run keeps aliasing below the Krasny floor
-    assert np.max(np.abs(plain - padded)) < 1e-11
