@@ -66,14 +66,15 @@ def full_grid_rhs(c: np.ndarray, n: int, alpha: float) -> np.ndarray:
     return out
 
 
-def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, ratio=1e-8):
-    """Full-grid RK4 plus Krasny filter.
+def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, ratio=1e-8, grid=None):
+    """Full-grid RK4 plus Krasny filter, on ``grid`` points (default N).
 
     Returns rows (t, l2_sq, momentum, |u^(0)|, H^1 norm squared) every
-    ``stride`` steps and at the end, and the first record time at which the
-    last mode exceeds ``ratio`` of the largest (None if never).
+    ``stride`` steps and at the end, the first record time at which the
+    last mode exceeds ``ratio`` of the largest (None if never), and the
+    final coefficients.
     """
-    n = u0.grid_size
+    n = grid or u0.grid_size
     c = u0.coeffs.astype(complex)
     kk = np.arange(c.shape[0])
     rows, loss_time = [], None
@@ -92,4 +93,4 @@ def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, rati
             rows.append((i * dt, sq.sum(), (kk * sq).sum(), a[0], ((1 + kk * kk) * sq).sum()))
             if loss_time is None and a[-1] > ratio * a.max() > 0:
                 loss_time = i * dt
-    return np.array(rows), loss_time
+    return np.array(rows), loss_time, c

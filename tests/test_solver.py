@@ -53,6 +53,15 @@ def test_rhs_constant_state():
     assert np.max(np.abs(out.coeffs[1:])) < 1e-15
 
 
+def test_rhs_dealias_agrees_on_resolved_state():
+    u = pole_state(0.4, 256)
+    a = rhs(u, 1.0).coeffs
+    # the same term on a doubled, alias-free 2N-point grid
+    b = full_grid_rhs(u.coeffs, 512, 1.0)
+    # aliasing only pollutes the (zero-padded) unresolved tail here
+    assert np.max(np.abs(a - b)) < 1e-13
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_band_grid_is_alias_free(data):
@@ -187,12 +196,22 @@ def test_evolve_matches_full_grid_oracle(u0, dt, t_end, threshold):
     cfg = SolverConfig(alpha=1.0, dt=dt, t_end=t_end, grid_size=u0.grid_size,
                        krasny_threshold=threshold, record_stride=10)
     result = evolve(u0, cfg)
-    rows, loss_time = full_grid_evolve(u0, 1.0, dt, cfg.n_steps, threshold, 10)
+    rows, loss_time, _ = full_grid_evolve(u0, 1.0, dt, cfg.n_steps, threshold, 10)
     series = result.diagnostics
     assert np.array_equal(series.t, rows[:, 0])
     for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.hs_sq[1.0]), 1):
         assert np.max(np.abs(got - rows[:, col])) <= 1e-12 * np.max(np.abs(rows[:, col]))
     assert result.resolution_loss_time == loss_time
+
+
+def test_evolve_with_dealias_matches_on_resolved_data():
+    u0 = pole_state(0.4, 256)
+    cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=0.5, grid_size=256, record_stride=100)
+    plain = evolve(u0, cfg).u_final.coeffs
+    # full-grid RK4 on a doubled, alias-free 2N-point grid
+    _, _, padded = full_grid_evolve(u0, 1.0, 1e-3, cfg.n_steps, cfg.krasny_threshold, 100, grid=512)
+    # the resolved run keeps aliasing below the Krasny floor
+    assert np.max(np.abs(plain - padded)) < 1e-11
 
 
 def test_evolve_grid_mismatch():
