@@ -97,10 +97,10 @@ class SolverResult:
     resolution_loss_time: float = None
 
 
-def _band(c: np.ndarray, k: int) -> int:
-    """Support of the cubic term of ``c``, 2*ka - 1 modes for ka live ones, capped at ``k``."""
+def _extent(c: np.ndarray) -> int:
+    """Number of modes up to the last nonzero one (at least 1)."""
     live = np.flatnonzero(c)
-    return min(k, 2 * int(live[-1]) + 1) if live.shape[0] else 1
+    return int(live[-1]) + 1 if live.shape[0] else 1
 
 
 def _grid(b: int, n: int) -> int:
@@ -134,19 +134,26 @@ def _rk4_coeffs(c, m, alpha, dt):
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step(c, b, n, alpha, dt, threshold, t):
-    """One RK4 step of ``c`` on its band b (see ``_band``), then the roundoff filter.
+def _step(c, ka, n, alpha, dt, threshold, t):
+    """One RK4 step of ``c``, live on its first ka modes, then the roundoff filter.
 
-    The four stages run on the first b modes: stage 1 fills them
-    exactly, and what stages 2-4 would put above b is a product of
-    coefficients below the filter threshold.  Should the filtered step still
-    reach mode b-1 (the band was not padded enough, as with the filter off),
-    the step is redone on the full grid.  Returns the length-K state and the
-    moduli of its first b modes; raises :class:`BlowUpError` at ``t`` on
-    non-finite data.
+    The four stages run on the first b = 2*ka - 1 modes, which stage 1
+    fills exactly.  What stages 2-4 would put at b and above is a product
+    with at least one factor from the modes at ka and above, the step's new
+    content, and is of order dt * (sum_k |c_k|)^2 times that content.  So
+    when the filter leaves none of the new content live, the dropped part
+    lies below the threshold as well (for dt * (sum_k |c_k|)^2 well below 1),
+    and the full grid would filter it away.  Otherwise the band grew: the
+    step is redone with ka set to the new extent, up to the full grid.  With
+    the filter off no content counts as negligible, and the step runs on the
+    full grid.  Returns the length-K state and the moduli of its first b
+    modes; raises :class:`BlowUpError` at ``t`` on non-finite data.
     """
     k = c.shape[0]
+    if threshold == 0:
+        ka = k
     while True:
+        b = min(k, 2 * ka - 1)
         cb = _rk4_coeffs(c[:b], _grid(b, n), alpha, dt)
         if not np.all(np.isfinite(cb)):
             raise BlowUpError(t)
@@ -155,9 +162,9 @@ def _step(c, b, n, alpha, dt, threshold, t):
             keep = a >= threshold
             cb = np.where(keep, cb, 0.0)
             a = np.where(keep, a, 0.0)
-        if b == k or cb[b - 1] == 0:
+        if b == k or not a[ka:].any():
             break
-        b = k
+        ka = _extent(a)
     out = np.zeros(k, dtype=complex)
     out[:b] = cb
     return out, a
@@ -166,18 +173,22 @@ def _step(c, b, n, alpha, dt, threshold, t):
 def rhs(u: HardyState, alpha: float) -> HardyState:
     """Time derivative du/dt = -i P(|u|^2 u) - alpha*(u|1) e_0."""
     c = u.coeffs
-    b = _band(c, c.shape[0])
+    b = min(c.shape[0], 2 * _extent(c) - 1)
     out = np.zeros(c.shape[0], dtype=complex)
     out[:b] = _rhs_coeffs(c[:b], _grid(b, u.grid_size), alpha)
     return HardyState(out, u.grid_size)
 
 
 def rk4_step(u: HardyState, alpha: float, dt: float, krasny_threshold: float = 0.0) -> HardyState:
-    """One classical RK4 step, followed by the roundoff filter when enabled."""
+    """One classical RK4 step, followed by the roundoff filter when enabled.
+
+    With the filter off (the default) the step runs on the full grid; a
+    positive ``krasny_threshold`` lets it run on the active band.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     c = u.coeffs
-    c, _ = _step(c, _band(c, c.shape[0]), u.grid_size, alpha, dt, krasny_threshold, dt)
+    c, _ = _step(c, _extent(c), u.grid_size, alpha, dt, krasny_threshold, dt)
     return HardyState(c, u.grid_size)
 
 
@@ -241,13 +252,13 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
             )
 
     record(0, np.abs(c))
-    band = _band(c, c.shape[0])
+    ka = _extent(c)
     if 0 in snap_steps:
         snapshots.append((0.0, HardyState(c, n)))
 
     for i in range(1, n_steps + 1):
-        c, a = _step(c, band, n, cfg.alpha, dt, cfg.krasny_threshold, i * dt)
-        band = _band(a, c.shape[0])
+        c, a = _step(c, ka, n, cfg.alpha, dt, cfg.krasny_threshold, i * dt)
+        ka = _extent(a)
         if float((a * a).sum()) > _L2_ABORT:
             raise BlowUpError(i * dt)
         if i in snap_steps:

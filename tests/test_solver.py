@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,11 +188,13 @@ def test_evolve_snapshots():
     [
         (parse_initial_condition("gaussian:10", 1024), 2e-3, 5.0, 1e-12),
         (pole_state(0.5, 256), 1e-3, 3.0, 1e-12),
-        # filter off on a zero-padded state: each band step fills its last
-        # mode, so the first step is redone on the full grid
+        # filter off on a zero-padded state: every step runs on the full grid
         (mode_state([0.5, 0.8, 0.6j, 0.3], 64), 1e-2, 1.0, 0.0),
+        # odd modes only: the flow keeps them odd, so the even mode b-1 stays
+        # empty while the band really grows
+        (mode_state([0.0, 1.0, 0.0, 0.5], 64), 1e-2, 1.0, 1e-12),
     ],
-    ids=["gaussian", "pole", "unfiltered"],
+    ids=["gaussian", "pole", "unfiltered", "odd_modes"],
 )
 def test_evolve_matches_full_grid_oracle(u0, dt, t_end, threshold):
     cfg = SolverConfig(alpha=1.0, dt=dt, t_end=t_end, grid_size=u0.grid_size,
@@ -202,6 +206,27 @@ def test_evolve_matches_full_grid_oracle(u0, dt, t_end, threshold):
     for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.hs_sq[1.0]), 1):
         assert np.max(np.abs(got - rows[:, col])) <= 1e-12 * np.max(np.abs(rows[:, col]))
     assert result.resolution_loss_time == loss_time
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_evolve_matches_full_grid_oracle_on_sparse_data(data):
+    # a few live modes in one residue class r mod p, which the flow keeps
+    p = data.draw(st.integers(1, 4))
+    r = data.draw(st.integers(0, p - 1))
+    live = data.draw(st.integers(1, 4))
+    dt = data.draw(st.sampled_from([1e-2, 1e-3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(r + p * live, dtype=complex)
+    values[r::p] = rng.standard_normal(live) + 1j * rng.standard_normal(live)
+    u0 = mode_state(values, 128)
+    cfg = SolverConfig(alpha=1.0, dt=dt, t_end=20 * dt, grid_size=128, record_stride=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionLossWarning)
+        series = evolve(u0, cfg).diagnostics
+    rows, _, _ = full_grid_evolve(u0, 1.0, dt, cfg.n_steps, cfg.krasny_threshold, 5)
+    for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.hs_sq[1.0]), 1):
+        assert np.max(np.abs(got - rows[:, col])) <= 1e-12 * np.max(np.abs(rows[:, col]))
 
 
 def test_evolve_with_dealias_matches_on_resolved_data():
