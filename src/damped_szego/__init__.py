@@ -35,7 +35,6 @@ from .hankel import (
     gram_h,
     gram_k,
     k_spectrum,
-    predicted_l2_limit,
     tail_mass,
 )
 from .solver import (

@@ -13,6 +13,7 @@ import sys
 from .errors import ConfigError, SzegoError
 from .initial_conditions import parse_initial_condition
 from .presets import (
+    CONFIG_KEYS,
     PRESET_NAMES,
     build_config,
     load_config_file,
@@ -49,20 +50,12 @@ def build_parser():
                      help=f"comma-separated presets from {', '.join(PRESET_NAMES)}")
     sim.add_argument("--config", help="flat key = value configuration file")
     sim.add_argument("--out", default="out", help="output directory")
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--n", type=int, help="grid size (even)")
-    sim.add_argument("--ic", help="initial condition spec, e.g. pole:0.5")
-    sim.add_argument("--record-stride", type=int, dest="record_stride")
-    sim.add_argument("--krasny-threshold", type=float, dest="krasny_threshold")
-    sim.add_argument("--spectrum-size", type=int, dest="spectrum_size")
-    sim.add_argument("--s", type=float, dest="s_fit", help="Sobolev exponent for growth fits")
-    sim.add_argument("--m", type=float, help="momentum for ODE presets")
-    sim.add_argument("--beta-inf", type=float, dest="beta_inf")
-    sim.add_argument("--ode-dt", type=float, dest="ode_dt")
-    sim.add_argument("--paper-horizon", action="store_true", default=None,
-                     help="restore the long t_end=1000 horizon of the gaussian preset")
+    for key, spec in CONFIG_KEYS.items():
+        if spec.flag and spec.kind == "bool":
+            sim.add_argument(spec.flag, action="store_true", default=None, dest=key,
+                             help=spec.help)
+        elif spec.flag:
+            sim.add_argument(spec.flag, type=spec.kind, dest=key, help=spec.help)
     sim.add_argument("--jobs", type=int, default=1, help="run presets in parallel processes")
 
     crit = sub.add_parser("criterion", help="evaluate the explosion criterion for one state")
@@ -109,18 +102,18 @@ def _add_state_args(cmd):
     cmd.add_argument("--tol", type=float, help="criterion equality tolerance")
 
 
-def _cmd_simulate(args):
-    overrides = {}
-    if args.config:
-        overrides.update(load_config_file(args.config))
-    for key in ("alpha", "dt", "t_end", "ic", "record_stride", "krasny_threshold",
-                "spectrum_size", "s_fit", "m", "beta_inf", "ode_dt", "paper_horizon"):
-        val = getattr(args, key, None)
+def _simulate_overrides(args) -> dict:
+    """Values of the ``--config`` file, overridden by the flags given."""
+    overrides = load_config_file(args.config) if args.config else {}
+    for key, spec in CONFIG_KEYS.items():
+        val = getattr(args, key) if spec.flag else None
         if val is not None:
-            overrides[key] = val
-    if args.n is not None:
-        overrides["grid_size"] = args.n
+            overrides[spec.field or key] = val
+    return overrides
 
+
+def _cmd_simulate(args):
+    overrides = _simulate_overrides(args)
     presets = [p.strip() for p in args.preset.split(",") if p.strip()]
     jobs = max(1, args.jobs)
     results = {}
@@ -145,7 +138,7 @@ def _cmd_simulate(args):
 
 
 def _run_one(name, overrides, out_root, nested) -> bool:
-    cfg = build_config(name, {**overrides, "out": out_root})
+    cfg = build_config(name, overrides)
     out_dir = os.path.join(out_root, name) if nested else out_root
     result = run_experiment(cfg, out_dir=out_dir)
     return result.passed

@@ -24,7 +24,6 @@ __all__ = [
     "eigenvalues",
     "k_spectrum",
     "f_functional",
-    "predicted_l2_limit",
     "explosion_criterion",
     "tail_mass",
 ]
@@ -166,26 +165,15 @@ def f_functional(spec: KSpectrum) -> float:
     return float(np.sum(signs * vals))
 
 
-def predicted_l2_limit(spec: KSpectrum) -> float:
-    """Predicted limiting squared L2 value for weak limit points of the flow.
-
-    Numerically identical to :func:`f_functional`; exposed separately for
-    experiment reporting.
-    """
-    return f_functional(spec)
-
-
-def explosion_criterion(u: HardyState, size: int = DEFAULT_SIZE,
-                        cluster_tol: float = DEFAULT_CLUSTER_TOL,
-                        rank_cutoff: float = None, tol: float = None) -> CriterionVerdict:
+def explosion_criterion(u: HardyState, spec: KSpectrum, tol: float = None) -> CriterionVerdict:
     """Decide whether u certifies unbounded Sobolev growth.
 
+    ``spec`` is the K_u^2 spectrum of u, as :func:`k_spectrum` returns it.
     ExplodesStrict / ExplodesEqualCase certify that every H^s norm with
     s > 1/2 tends to infinity along the damped flow; Inconclusive makes no
     claim.
     """
     l2 = l2_norm_sq(u)
-    spec = k_spectrum(u, size=size, cluster_tol=cluster_tol, rank_cutoff=rank_cutoff)
     f_val = f_functional(spec)
     u0_abs = abs(inner_with_one(u))
     if tol is None:

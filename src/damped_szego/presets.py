@@ -2,7 +2,9 @@
 
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .wmanifold import (
 )
 
 __all__ = [
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "ExperimentResult",
     "PRESET_NAMES",
@@ -67,7 +70,6 @@ class ExperimentConfig:
     ode_dt: float = 1e-3
     s_fit: float = 1.0
     paper_horizon: bool = False
-    out: str = "out"
 
     def validate(self):
         if self.preset not in PRESET_NAMES:
@@ -102,37 +104,46 @@ _ODE_PRESETS = {
 
 PRESET_NAMES = tuple(_PDE_PRESETS) + tuple(_ODE_PRESETS)
 
-_CONFIG_KEYS = {
-    "preset": str,
-    "ic": str,
-    "alpha": float,
-    "dt": float,
-    "t_end": float,
-    "n": int,
-    "record_stride": int,
-    "krasny_threshold": float,
-    "sobolev_exponents": "floats",
-    "spectrum_size": int,
-    "cluster_tol": float,
-    "rank_cutoff": float,
-    "criterion_tol": float,
-    "snapshot_times": "floats",
-    "m": float,
-    "gamma0": float,
-    "beta_inf": float,
-    "t_start": float,
-    "t_end_back": float,
-    "ode_dt": float,
-    "s_fit": float,
-    "paper_horizon": "bool",
-    "out": str,
-}
+class ConfigKey(NamedTuple):
+    """A config-file key's type (a type, "floats" or "bool"), its ``simulate`` flag
+    and help, if any, and its ExperimentConfig field when that is not the key."""
 
-_FIELD_BY_KEY = {"n": "grid_size"}
+    kind: object
+    flag: str = None
+    help: str = None
+    field: str = None
+
+
+# Every config-file key, in ``simulate --help`` order for the flagged ones.
+CONFIG_KEYS = {
+    "preset": ConfigKey(str),
+    "alpha": ConfigKey(float, "--alpha"),
+    "dt": ConfigKey(float, "--dt"),
+    "t_end": ConfigKey(float, "--t-end"),
+    "n": ConfigKey(int, "--n", "grid size (even)", field="grid_size"),
+    "ic": ConfigKey(str, "--ic", "initial condition spec, e.g. pole:0.5"),
+    "record_stride": ConfigKey(int, "--record-stride"),
+    "krasny_threshold": ConfigKey(float, "--krasny-threshold"),
+    "spectrum_size": ConfigKey(int, "--spectrum-size"),
+    "s_fit": ConfigKey(float, "--s", "Sobolev exponent for growth fits"),
+    "m": ConfigKey(float, "--m", "momentum for ODE presets"),
+    "beta_inf": ConfigKey(float, "--beta-inf"),
+    "ode_dt": ConfigKey(float, "--ode-dt"),
+    "paper_horizon": ConfigKey("bool", "--paper-horizon",
+                               "restore the long t_end=1000 horizon of the gaussian preset"),
+    "sobolev_exponents": ConfigKey("floats"),
+    "cluster_tol": ConfigKey(float),
+    "rank_cutoff": ConfigKey(float),
+    "criterion_tol": ConfigKey(float),
+    "snapshot_times": ConfigKey("floats"),
+    "gamma0": ConfigKey(float),
+    "t_start": ConfigKey(float),
+    "t_end_back": ConfigKey(float),
+}
 
 
 def _coerce(key, raw, line=None):
-    kind = _CONFIG_KEYS[key]
+    kind = CONFIG_KEYS[key].kind
     raw = raw.strip()
     try:
         if kind == "bool":
@@ -161,9 +172,9 @@ def load_config_file(path) -> dict:
                 raise ConfigError("expected 'key = value'", line=ln)
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown key {key!r}", line=ln, field=key)
-            overrides[_FIELD_BY_KEY.get(key, key)] = _coerce(key, value, line=ln)
+            overrides[CONFIG_KEYS[key].field or key] = _coerce(key, value, line=ln)
     return overrides
 
 
@@ -171,6 +182,10 @@ def build_config(preset: str, overrides: dict = None) -> ExperimentConfig:
     """Preset defaults, then file/flag overrides, then validation."""
     if preset not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}", field="preset")
+    named = (overrides or {}).get("preset")
+    if named is not None and named != preset:
+        raise ConfigError(f"overrides name preset {named!r}, but {preset!r} is being built",
+                          field="preset")
     values = dict(_PDE_PRESETS.get(preset) or _ODE_PRESETS.get(preset) or {})
     values["preset"] = preset
     for key, val in (overrides or {}).items():
@@ -213,8 +228,7 @@ def spectrum_report(u, size=hankel.DEFAULT_SIZE, cluster_tol=hankel.DEFAULT_CLUS
     """Spectrum plus the JSON-ready summary used by reports and the CLI."""
     size = min(size, u.n_modes)
     spec = hankel.k_spectrum(u, size=size, cluster_tol=cluster_tol, rank_cutoff=rank_cutoff)
-    verdict = hankel.explosion_criterion(u, size=size, cluster_tol=cluster_tol,
-                                         rank_cutoff=rank_cutoff, tol=tol)
+    verdict = hankel.explosion_criterion(u, spec, tol=tol)
     summary = {
         "l2_sq": verdict.l2_sq,
         "momentum": hardy_momentum(u),
@@ -432,43 +446,27 @@ def _write_artifacts(cfg, result, out_dir):
     art = result.artifacts
     paths = {}
 
-    def emit(name, text):
+    def emit(name, content):
         path = os.path.join(out_dir, name)
-        write_text(path, text)
+        (write_json if name.endswith(".json") else write_text)(path, content)
         paths[name] = path
 
     if "diagnostics" in art:
+        v = art["verdict"]
         emit("diagnostics.csv", diagnostics_csv(art["diagnostics"]))
         emit("spectrum.csv", spectrum_csv(art["spectrum"]))
-        write_json(os.path.join(out_dir, "spectrum.json"), art["spectrum_summary"])
-        paths["spectrum.json"] = os.path.join(out_dir, "spectrum.json")
-        v = art["verdict"]
-        write_json(
-            os.path.join(out_dir, "verdict.json"),
-            {"l2_sq": v.l2_sq, "f_value": v.f_value, "u0_coeff_abs": v.u0_coeff_abs,
-             "verdict": v.verdict.value},
-        )
-        paths["verdict.json"] = os.path.join(out_dir, "verdict.json")
+        emit("spectrum.json", art["spectrum_summary"])
+        emit("verdict.json", {"l2_sq": v.l2_sq, "f_value": v.f_value,
+                              "u0_coeff_abs": v.u0_coeff_abs, "verdict": v.verdict.value})
     if "trajectory" in art:
         emit("trajectory.csv", reduced_trajectory_csv(art["trajectory"]))
     if "stable" in art:
         emit("stable_manifold.csv", stable_trajectory_csv(art["stable"]))
-
-    write_json(os.path.join(out_dir, "fit.json"), art.get("fits", []))
-    paths["fit.json"] = os.path.join(out_dir, "fit.json")
-    write_json(
-        os.path.join(out_dir, "summary.json"),
-        {"preset": result.preset, "passed": result.passed, "checks": result.checks,
-         "values": result.values},
-    )
-    paths["summary.json"] = os.path.join(out_dir, "summary.json")
-
-    meta = {"config": asdict(cfg), "versions": _versions()}
-    import time
-
-    meta["written_at_unix"] = time.time()
-    write_json(os.path.join(out_dir, "meta.json"), meta)
-    paths["meta.json"] = os.path.join(out_dir, "meta.json")
+    emit("fit.json", art.get("fits", []))
+    emit("summary.json", {"preset": result.preset, "passed": result.passed,
+                          "checks": result.checks, "values": result.values})
+    emit("meta.json", {"config": asdict(cfg), "versions": _versions(),
+                       "written_at_unix": time.time()})
     result.artifacts = {**art, "paths": paths}
 
 

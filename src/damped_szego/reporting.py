@@ -11,6 +11,7 @@ import numpy as np
 
 __all__ = [
     "fmt",
+    "csv_table",
     "diagnostics_csv",
     "spectrum_csv",
     "w_trajectory_csv",
@@ -25,55 +26,48 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def diagnostics_csv(series) -> str:
-    cols = ["t", "l2_sq", "momentum", "u0_abs"]
-    exps = sorted(series.hs_sq)
-    cols += [f"hs_sq_{s:.2f}" for s in exps]
-    lines = [",".join(cols)]
-    for i in range(len(series)):
-        row = [series.t[i], series.l2_sq[i], series.momentum[i], series.u0_abs[i]]
-        row += [series.hs_sq[s][i] for s in exps]
+def csv_table(columns) -> str:
+    """CSV text of ``columns``, a sequence of (header, values) pairs of equal length.
+
+    Every cell, integers included, is rendered by :func:`fmt`.
+    """
+    lines = [",".join(name for name, _ in columns)]
+    for row in zip(*(values for _, values in columns)):
         lines.append(",".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def diagnostics_csv(series) -> str:
+    cols = [("t", series.t), ("l2_sq", series.l2_sq), ("momentum", series.momentum),
+            ("u0_abs", series.u0_abs)]
+    cols += [(f"hs_sq_{s:.2f}", series.hs_sq[s]) for s in sorted(series.hs_sq)]
+    return csv_table(cols)
 
 
 def spectrum_csv(spec) -> str:
-    lines = ["index,eigenvalue,multiplicity"]
-    for i, (val, mult) in enumerate(zip(spec.distinct_eigenvalues, spec.multiplicities), start=1):
-        lines.append(f"{i},{fmt(val)},{int(mult)}")
-    return "\n".join(lines) + "\n"
+    vals = spec.distinct_eigenvalues
+    return csv_table([("index", range(1, len(vals) + 1)), ("eigenvalue", vals),
+                      ("multiplicity", spec.multiplicities)])
 
 
 def w_trajectory_csv(traj) -> str:
-    lines = ["t,re_b,im_b,re_c,im_c,re_p,im_p,beta,gamma,momentum"]
-    beta, gamma = traj.beta, traj.gamma
-    for i in range(traj.t.shape[0]):
-        row = [
-            traj.t[i],
-            traj.b[i].real, traj.b[i].imag,
-            traj.c[i].real, traj.c[i].imag,
-            traj.p[i].real, traj.p[i].imag,
-            beta[i], gamma[i], traj.momentum[i],
-        ]
-        lines.append(",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_table([
+        ("t", traj.t),
+        ("re_b", traj.b.real), ("im_b", traj.b.imag),
+        ("re_c", traj.c.real), ("im_c", traj.c.imag),
+        ("re_p", traj.p.real), ("im_p", traj.p.imag),
+        ("beta", traj.beta), ("gamma", traj.gamma), ("momentum", traj.momentum),
+    ])
 
 
 def reduced_trajectory_csv(traj) -> str:
-    lines = ["t,beta,gamma,re_zeta,im_zeta"]
-    for i in range(traj.t.shape[0]):
-        row = [traj.t[i], traj.beta[i], traj.gamma[i], traj.zeta[i].real, traj.zeta[i].imag]
-        lines.append(",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_table([("t", traj.t), ("beta", traj.beta), ("gamma", traj.gamma),
+                      ("re_zeta", traj.zeta.real), ("im_zeta", traj.zeta.imag)])
 
 
 def stable_trajectory_csv(result) -> str:
-    lines = ["t,beta,delta,re_zeta,im_zeta"]
-    for i in range(result.t.shape[0]):
-        row = [result.t[i], result.beta[i], result.delta[i],
-               result.zeta[i].real, result.zeta[i].imag]
-        lines.append(",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_table([("t", result.t), ("beta", result.beta), ("delta", result.delta),
+                      ("re_zeta", result.zeta.real), ("im_zeta", result.zeta.imag)])
 
 
 def _jsonify(obj):

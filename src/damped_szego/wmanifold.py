@@ -177,23 +177,19 @@ def reduced_from_w(w: WState) -> ReducedState:
 # vector fields
 # ---------------------------------------------------------------------------
 
-def w_rhs(w: WState, alpha: float):
+def w_rhs(b: complex, c: complex, p: complex, alpha: float):
     """Time derivatives (db, dc, dp); the momentum is recomputed each call."""
-    b, c, p = w.b, w.c, w.p
-    gt = 1.0 - abs(p) ** 2
-    m = abs(c) ** 2 / gt**2
-    db = -alpha * b - 1j * ((abs(b) ** 2 + 2.0 * m * gt) * b + m * c * p.conjugate())
-    dc = -1j * ((2.0 * abs(b) ** 2 + m) * c + 2.0 * m * gt * b * p)
+    gt = 1.0 - (p.real * p.real + p.imag * p.imag)
+    m = (c.real * c.real + c.imag * c.imag) / (gt * gt)
+    bb = b.real * b.real + b.imag * b.imag
+    db = -alpha * b - 1j * ((bb + 2.0 * m * gt) * b + m * c * p.conjugate())
+    dc = -1j * ((2.0 * bb + m) * c + 2.0 * m * gt * b * p)
     dp = -1j * (m * gt * p + c * b.conjugate())
     return db, dc, dp
 
 
-def reduced_rhs(r: ReducedState, alpha: float, m: float):
-    """Derivatives (dbeta, dgamma, dzeta) of the gauge-reduced system."""
-    return _reduced_rhs_scalar(r.beta, r.gamma, r.zeta, alpha, m)
-
-
-def _reduced_rhs_scalar(beta, gamma, zeta, alpha, m):
+def reduced_rhs(beta: float, gamma: float, zeta: complex, alpha: float, m: float):
+    """Derivatives (dbeta, dgamma, dzeta) of the gauge-reduced system at momentum m."""
     im = zeta.imag
     dzeta = (
         -(alpha + 1j * m) * zeta
@@ -253,22 +249,13 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
     n_steps = max(1, int(round(t_end / dt)))
     b, c, p = complex(w0.b), complex(w0.c), complex(w0.p)
 
-    def f(b, c, p):
-        gt = 1.0 - (p.real * p.real + p.imag * p.imag)
-        m = (c.real * c.real + c.imag * c.imag) / (gt * gt)
-        bb = b.real * b.real + b.imag * b.imag
-        db = -alpha * b - 1j * ((bb + 2.0 * m * gt) * b + m * c * p.conjugate())
-        dc = -1j * ((2.0 * bb + m) * c + 2.0 * m * gt * b * p)
-        dp = -1j * (m * gt * p + c * b.conjugate())
-        return db, dc, dp
-
     ts, bs, cs, ps, ms = [0.0], [b], [c], [p], [w0.momentum]
     warned = False
     for i in range(1, n_steps + 1):
-        k1 = f(b, c, p)
-        k2 = f(b + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], p + 0.5 * dt * k1[2])
-        k3 = f(b + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], p + 0.5 * dt * k2[2])
-        k4 = f(b + dt * k3[0], c + dt * k3[1], p + dt * k3[2])
+        k1 = w_rhs(b, c, p, alpha)
+        k2 = w_rhs(b + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], p + 0.5 * dt * k1[2], alpha)
+        k3 = w_rhs(b + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], p + 0.5 * dt * k2[2], alpha)
+        k4 = w_rhs(b + dt * k3[0], c + dt * k3[1], p + dt * k3[2], alpha)
         b += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         c += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         p += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
@@ -304,16 +291,14 @@ def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end
     beta, gamma, zeta = float(r0.beta), float(r0.gamma), complex(r0.zeta)
     ts, betas, gammas, zetas = [0.0], [beta], [gamma], [zeta]
     for i in range(1, n_steps + 1):
-        k1 = _reduced_rhs_scalar(beta, gamma, zeta, alpha, m)
-        k2 = _reduced_rhs_scalar(
+        k1 = reduced_rhs(beta, gamma, zeta, alpha, m)
+        k2 = reduced_rhs(
             beta + 0.5 * dt * k1[0], gamma + 0.5 * dt * k1[1], zeta + 0.5 * dt * k1[2], alpha, m
         )
-        k3 = _reduced_rhs_scalar(
+        k3 = reduced_rhs(
             beta + 0.5 * dt * k2[0], gamma + 0.5 * dt * k2[1], zeta + 0.5 * dt * k2[2], alpha, m
         )
-        k4 = _reduced_rhs_scalar(
-            beta + dt * k3[0], gamma + dt * k3[1], zeta + dt * k3[2], alpha, m
-        )
+        k4 = reduced_rhs(beta + dt * k3[0], gamma + dt * k3[1], zeta + dt * k3[2], alpha, m)
         beta += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         gamma += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         zeta += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])

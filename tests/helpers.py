@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from damped_szego.hankel import explosion_criterion, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
 
 
@@ -25,6 +26,11 @@ def dft_from_grid_oracle(f: GridField, chunk: int = 256) -> np.ndarray:
         ks = np.arange(start, min(start + chunk, n // 2))
         out[start : start + ks.shape[0]] = np.exp(-1j * np.outer(ks, x)) @ v / n
     return out
+
+
+def criterion(u: HardyState, size: int):
+    """Explosion-criterion verdict of u from its K_u^2 spectrum at Gram size ``size``."""
+    return explosion_criterion(u, k_spectrum(u, size=size))
 
 
 def char_poly_eigenvalues(m: np.ndarray) -> np.ndarray:

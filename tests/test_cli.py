@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 import damped_szego
+from damped_szego.cli import _simulate_overrides, build_parser
 from damped_szego.errors import ConfigError
+from damped_szego.hankel import KSpectrum
 from damped_szego.initial_conditions import parse_initial_condition
 from damped_szego.presets import (
+    CONFIG_KEYS,
     PRESET_NAMES,
     build_config,
     load_config_file,
     run_experiment,
     verify_identities,
 )
+from damped_szego.reporting import csv_table, spectrum_csv
 
 
 # The child interpreter imports the package from where this one found it.
@@ -87,6 +91,27 @@ def test_config_file_parsing(tmp_path):
         load_config_file(cfg_file)
     assert err.value.field == "dealias"
 
+    # runs write to the --out directory; there is no output key
+    cfg_file.write_text("out = elsewhere\n")
+    with pytest.raises(ConfigError) as err:
+        load_config_file(cfg_file)
+    assert err.value.field == "out"
+
+
+def test_overrides_cannot_switch_preset(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        build_config("gaussian", {"preset": "single_pole"})
+    assert err.value.field == "preset"
+    assert build_config("gaussian", {"preset": "gaussian"}).preset == "gaussian"
+
+    cfg_file = tmp_path / "other.cfg"
+    cfg_file.write_text("preset = single_pole\n")
+    proc = run_cli("simulate", "--preset", "gaussian", "--config", str(cfg_file),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "preset" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
 
 def test_config_file_reports_line_and_field(tmp_path):
     bad = tmp_path / "bad.cfg"
@@ -100,6 +125,66 @@ def test_config_file_reports_line_and_field(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config_file(bad)
     assert err.value.line == 1
+
+
+def _simulate_parser():
+    parser = build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices["simulate"]
+
+
+def test_simulate_flags_are_pinned():
+    got = [(tuple(a.option_strings), a.dest) for a in _simulate_parser()._actions]
+    assert got == [
+        (("-h", "--help"), "help"),
+        (("--preset",), "preset"),
+        (("--config",), "config"),
+        (("--out",), "out"),
+        (("--alpha",), "alpha"),
+        (("--dt",), "dt"),
+        (("--t-end",), "t_end"),
+        (("--n",), "n"),
+        (("--ic",), "ic"),
+        (("--record-stride",), "record_stride"),
+        (("--krasny-threshold",), "krasny_threshold"),
+        (("--spectrum-size",), "spectrum_size"),
+        (("--s",), "s_fit"),
+        (("--m",), "m"),
+        (("--beta-inf",), "beta_inf"),
+        (("--ode-dt",), "ode_dt"),
+        (("--paper-horizon",), "paper_horizon"),
+        (("--jobs",), "jobs"),
+    ]
+
+
+# A value of each kind that differs from every preset default.
+_SAMPLE = {float: "0.375", int: "6", str: "pole:0.25", "bool": "true"}
+
+
+@pytest.mark.parametrize("key", [k for k, spec in CONFIG_KEYS.items() if spec.flag])
+def test_flag_and_config_key_set_the_same_field(tmp_path, key):
+    spec = CONFIG_KEYS[key]
+    field = spec.field or key
+    raw = _SAMPLE[spec.kind]
+    argv = [spec.flag] if spec.kind == "bool" else [spec.flag, raw]
+    by_flag = _simulate_overrides(_simulate_parser().parse_args(argv))
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text(f"{key} = {raw}\n")
+    by_file = _simulate_overrides(_simulate_parser().parse_args(["--config", str(cfg_file)]))
+    assert by_flag == by_file == {field: by_file[field]}
+    a, b = build_config("custom", by_flag), build_config("custom", by_file)
+    assert a == b
+    assert getattr(a, field) != getattr(build_config("custom"), field)
+
+
+def test_csv_table_formats_every_cell():
+    assert csv_table([("i", range(1, 3)), ("x", np.array([0.5, 0.1])), ("n", [1, 3])]) == (
+        "i,x,n\n1,0.5,1\n2,0.10000000000000001,3\n"
+    )
+    spec = KSpectrum(np.array([16.0 / 9.0, 0.25]), np.array([1, 2]), 1e-8, 0.0)
+    assert spectrum_csv(spec) == (
+        "index,eigenvalue,multiplicity\n1,1.7777777777777777,1\n2,0.25,2\n"
+    )
+    assert csv_table([("t", []), ("x", [])]) == "t,x\n"
 
 
 def test_build_config_rejects_unknown_preset():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damped_szego import hankel
 from damped_szego.errors import InvalidMatrixError, TruncationError
 from damped_szego.hankel import (
     KSpectrum,
@@ -13,13 +14,13 @@ from damped_szego.hankel import (
     gram_h,
     gram_k,
     k_spectrum,
-    predicted_l2_limit,
     tail_mass,
 )
 from damped_szego.hardy import HardyState, l2_norm_sq, momentum
 from damped_szego.initial_conditions import blaschke_state, circle_state, pole_state
+from damped_szego.presets import spectrum_report
 from damped_szego.wmanifold import WState, w_to_hardy
-from helpers import char_poly_eigenvalues, random_hermitian
+from helpers import char_poly_eigenvalues, criterion, random_hermitian
 
 
 def make_spectrum(values, mults=None):
@@ -167,8 +168,7 @@ def test_k_spectrum_two_poles_rank_two():
 def test_f_functional_values():
     assert f_functional(make_spectrum([5.0, 3.0, 2.0])) == 4.0
     assert f_functional(make_spectrum([1.0])) == 1.0
-    assert predicted_l2_limit(make_spectrum([1.0])) == 1.0
-    assert predicted_l2_limit(make_spectrum([4.0, 1.0])) == 3.0
+    assert f_functional(make_spectrum([4.0, 1.0])) == 3.0
 
 
 def test_f_ignores_multiplicities():
@@ -181,14 +181,14 @@ def test_f_single_pole():
 
 
 def test_criterion_single_pole_strict():
-    v = explosion_criterion(pole_state(0.5, 512), size=128)
+    v = criterion(pole_state(0.5, 512), size=128)
     assert v.verdict is Verdict.EXPLODES_STRICT
     assert v.l2_sq == pytest.approx(4.0 / 3.0, rel=1e-10)
     assert v.f_value == pytest.approx(16.0 / 9.0, rel=1e-10)
 
 
 def test_criterion_blaschke_equal_case():
-    v = explosion_criterion(blaschke_state([0.3], 512), size=128)
+    v = criterion(blaschke_state([0.3], 512), size=128)
     assert v.verdict is Verdict.EXPLODES_EQUAL_CASE
     assert v.l2_sq == pytest.approx(1.0, rel=1e-10)
     assert v.f_value == pytest.approx(1.0, rel=1e-10)
@@ -196,13 +196,41 @@ def test_criterion_blaschke_equal_case():
 
 
 def test_criterion_circle_inconclusive():
-    v = explosion_criterion(circle_state(1.0, 512), size=128)
+    v = criterion(circle_state(1.0, 512), size=128)
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
 def test_criterion_zero_state():
-    v = explosion_criterion(HardyState(np.zeros(64, complex), 128), size=16)
+    v = criterion(HardyState(np.zeros(64, complex), 128), size=16)
     assert v.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("ic", [pole_state(0.5, 512), blaschke_state([0.3, -0.6j], 512),
+                                circle_state(1.0, 512)])
+def test_spectrum_report_eigendecomposes_once(monkeypatch, ic):
+    calls = {"gram_k": 0, "eigenvalues": 0}
+
+    def counted(name):
+        original = getattr(hankel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hankel, name, wrapper)
+
+    counted("gram_k")
+    counted("eigenvalues")
+    spec, verdict, summary = spectrum_report(ic, size=128, tol=1e-9)
+    assert calls == {"gram_k": 1, "eigenvalues": 1}
+    monkeypatch.undo()
+
+    alone = k_spectrum(ic, size=128)
+    assert np.array_equal(spec.distinct_eigenvalues, alone.distinct_eigenvalues)
+    assert np.array_equal(spec.multiplicities, alone.multiplicities)
+    assert spec.rank_cutoff == alone.rank_cutoff
+    assert verdict == explosion_criterion(ic, alone, tol=1e-9)
+    assert summary["verdict"] == verdict.verdict.value
 
 
 # --- structural properties -------------------------------------------------

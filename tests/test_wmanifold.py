@@ -10,7 +10,6 @@ from damped_szego.hardy import GridField, from_grid, grid_points, hs_norm_sq
 from damped_szego.initial_conditions import gaussian_state
 from damped_szego.solver import SolverConfig, evolve
 from damped_szego.wmanifold import (
-    ReducedState,
     ReducedTrajectory,
     WState,
     WTrajectory,
@@ -96,7 +95,7 @@ def test_hardy_to_w_rejects_vanishing_c():
 
 def test_w_rhs_circle_orbit():
     c = 1.2 - 0.4j
-    db, dc, dp = w_rhs(WState(0, c, 0), alpha=1.0)
+    db, dc, dp = w_rhs(0j, c, 0j, alpha=1.0)
     m = abs(c) ** 2
     assert db == 0
     assert dp == 0
@@ -105,9 +104,8 @@ def test_w_rhs_circle_orbit():
 
 def test_w_rhs_b_zero():
     c, p = 1.0 + 0.5j, 0.3 - 0.2j
-    w = WState(0, c, p)
-    m = w.momentum
-    db, dc, dp = w_rhs(w, alpha=2.0)
+    m = WState(0, c, p).momentum
+    db, dc, dp = w_rhs(0j, c, p, alpha=2.0)
     assert abs(db - (-1j * m * c * np.conj(p))) < 1e-12
     assert abs(dc - (-1j * m * c)) < 1e-12
     assert abs(dp - (-1j * m * (1 - abs(p) ** 2) * p)) < 1e-12
@@ -116,7 +114,7 @@ def test_w_rhs_b_zero():
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.5])
 def test_momentum_derivative_vanishes(alpha):
     w = WState(0.4 - 0.2j, 1.1 + 0.3j, 0.35 * np.exp(1.1j))
-    db, dc, dp = w_rhs(w, alpha)
+    db, dc, dp = w_rhs(w.b, w.c, w.p, alpha)
     gt = 1.0 - abs(w.p) ** 2
     # chain rule with closed-form partial derivatives of M(b, c, p)
     dm = (
@@ -136,11 +134,11 @@ def test_momentum_derivative_vanishes(alpha):
 
 def test_reduced_fixed_point_on_circle():
     m = 2.0
-    db, dg, dz = reduced_rhs(ReducedState(beta=0.0, gamma=m, zeta=0j), alpha=1.0, m=m)
+    db, dg, dz = reduced_rhs(0.0, m, 0j, alpha=1.0, m=m)
     assert db == 0 and dg == 0 and dz == 0
 
     # off the circle radius the zeta source does not vanish
-    _, _, dz = reduced_rhs(ReducedState(beta=0.0, gamma=0.5 * m, zeta=0j), alpha=1.0, m=m)
+    _, _, dz = reduced_rhs(0.0, 0.5 * m, 0j, alpha=1.0, m=m)
     assert abs(dz - 1j * (0.5 * m) ** 2 * (m - 0.5 * m)) < 1e-14
 
 
@@ -148,7 +146,7 @@ def test_reduced_rhs_is_pushforward_of_w_rhs():
     alpha = 1.3
     w = WState(0.25 + 0.1j, 0.9 - 0.2j, 0.45 * np.exp(0.7j))
     m = w.momentum
-    db, dc, dp = w_rhs(w, alpha)
+    db, dc, dp = w_rhs(w.b, w.c, w.p, alpha)
     # exact chain rule for beta = |b|^2, gamma = M(1-|p|^2), zeta = M c conj(b p)
     dbeta = 2.0 * (np.conj(w.b) * db).real
     dgamma = -2.0 * m * (np.conj(w.p) * dp).real
@@ -157,7 +155,8 @@ def test_reduced_rhs_is_pushforward_of_w_rhs():
         + w.c * np.conj(db) * np.conj(w.p)
         + w.c * np.conj(w.b) * np.conj(dp)
     )
-    rb, rg, rz = reduced_rhs(reduced_from_w(w), alpha, m)
+    r = reduced_from_w(w)
+    rb, rg, rz = reduced_rhs(r.beta, r.gamma, r.zeta, alpha, m)
     scale = max(1.0, m**2)
     assert abs(rb - dbeta) < 1e-12 * scale
     assert abs(rg - dgamma) < 1e-12 * scale
@@ -178,7 +177,7 @@ def test_constraint_derivative_vanishes():
     w = WState(0.3, 1.0, 0.5)
     m = w.momentum
     r = reduced_from_w(w)
-    db, dg, dz = reduced_rhs(r, alpha=1.0, m=m)
+    db, dg, dz = reduced_rhs(r.beta, r.gamma, r.zeta, alpha=1.0, m=m)
     # d/dt [ |zeta|^2 - (M - gamma) gamma^2 beta ] via the chain rule
     d_constraint = (
         2.0 * (np.conj(r.zeta) * dz).real
@@ -195,7 +194,7 @@ def test_delta_form_matches_gamma_form():
     x = np.array([beta, delta, zeta.real, zeta.imag])
     a_mat, _ = linearization_matrix(alpha, m)
     dx = -(a_mat @ x) + _delta_form_q(x, m)
-    rb, rg, rz = reduced_rhs(ReducedState(beta=beta, gamma=m - delta, zeta=zeta), alpha, m)
+    rb, rg, rz = reduced_rhs(beta, m - delta, zeta, alpha, m)
     assert abs(dx[0] - rb) < 1e-14
     assert abs(dx[1] - (-rg)) < 1e-14
     assert abs(dx[2] - rz.real) < 1e-14
