@@ -15,6 +15,7 @@ from .initial_conditions import parse_initial_condition
 from .presets import (
     CONFIG_KEYS,
     PRESET_NAMES,
+    VERDICT_KEYS,
     build_config,
     load_config_file,
     run_experiment,
@@ -146,13 +147,11 @@ def _run_one(name, overrides, out_root, nested) -> bool:
 
 def _cmd_criterion(args):
     u = parse_initial_condition(args.ic, args.n)
-    _, verdict, summary = spectrum_report(
+    _, _, summary = spectrum_report(
         u, size=args.size, cluster_tol=args.cluster_tol,
         rank_cutoff=args.rank_cutoff, tol=args.tol,
     )
-    payload = {"l2_sq": verdict.l2_sq, "f_value": verdict.f_value,
-               "u0_coeff_abs": verdict.u0_coeff_abs, "verdict": verdict.verdict.value,
-               "momentum": summary["momentum"]}
+    payload = {k: summary[k] for k in VERDICT_KEYS}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "PRESET_NAMES",
+    "VERDICT_KEYS",
     "build_config",
     "load_config_file",
     "run_experiment",
@@ -221,6 +222,10 @@ def _check(name, value, target, tol, mode="abs"):
         raise ValueError(f"unknown check mode {mode}")
     return {"name": name, "value": value, "target": target, "tol": tol,
             "mode": mode, "passed": bool(passed)}
+
+
+# The keys of verdict.json, taken from the spectrum_report summary.
+VERDICT_KEYS = ("l2_sq", "momentum", "f_value", "verdict", "u0_coeff_abs")
 
 
 def spectrum_report(u, size=hankel.DEFAULT_SIZE, cluster_tol=hankel.DEFAULT_CLUSTER_TOL,
@@ -452,12 +457,11 @@ def _write_artifacts(cfg, result, out_dir):
         paths[name] = path
 
     if "diagnostics" in art:
-        v = art["verdict"]
+        summary = art["spectrum_summary"]
         emit("diagnostics.csv", diagnostics_csv(art["diagnostics"]))
         emit("spectrum.csv", spectrum_csv(art["spectrum"]))
-        emit("spectrum.json", art["spectrum_summary"])
-        emit("verdict.json", {"l2_sq": v.l2_sq, "f_value": v.f_value,
-                              "u0_coeff_abs": v.u0_coeff_abs, "verdict": v.verdict.value})
+        emit("spectrum.json", summary)
+        emit("verdict.json", {k: summary[k] for k in VERDICT_KEYS})
     if "trajectory" in art:
         emit("trajectory.csv", reduced_trajectory_csv(art["trajectory"]))
     if "stable" in art:

@@ -237,81 +237,74 @@ class ReducedTrajectory:
     momentum: float
 
 
+def _rk4(f, y0, t0, dt, n_steps, stride):
+    """Classical RK4 on a triple of scalars, ``f(x, y, z) -> (dx, dy, dz)``.
+
+    Records ``t0 + i*dt`` and the state every ``stride`` steps and after the
+    last step; returns the times and a complex ``(records, 3)`` array.
+    """
+    x, y, z = y0
+    h = 0.5 * dt
+    h6 = dt / 6.0
+    steps = [*range(0, n_steps, stride), n_steps]
+    out = np.empty((len(steps), 3), dtype=complex)
+    out[0] = y0
+    j = 1
+    for i in range(1, n_steps + 1):
+        a1, b1, c1 = f(x, y, z)
+        a2, b2, c2 = f(x + h * a1, y + h * b1, z + h * c1)
+        a3, b3, c3 = f(x + h * a2, y + h * b2, z + h * c2)
+        a4, b4, c4 = f(x + dt * a3, y + dt * b3, z + dt * c3)
+        x += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+        y += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+        z += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+        if i % stride == 0 or i == n_steps:
+            out[j] = x, y, z
+            j += 1
+    return t0 + np.array(steps) * dt, out
+
+
+def _n_steps(dt, t_end, stride):
+    if dt <= 0 or t_end <= 0 or stride < 1:
+        raise ValueError("dt, t_end and record_stride must be positive")
+    return max(1, int(round(t_end / dt)))
+
+
 def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
                 record_stride: int = 1) -> WTrajectory:
     """RK4 on the (b, c, p) system, recording every ``record_stride`` steps.
 
-    Warns when |p| comes within 1e-6 of 1 (the explosion regime outruns the
-    parameterisation, though the ODE itself stays finite).
+    Warns when a recorded |p| comes within 1e-6 of 1 (the explosion regime
+    outruns the parameterisation, though the ODE itself stays finite).
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    n_steps = max(1, int(round(t_end / dt)))
-    b, c, p = complex(w0.b), complex(w0.c), complex(w0.p)
-
-    ts, bs, cs, ps, ms = [0.0], [b], [c], [p], [w0.momentum]
-    warned = False
-    for i in range(1, n_steps + 1):
-        k1 = w_rhs(b, c, p, alpha)
-        k2 = w_rhs(b + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], p + 0.5 * dt * k1[2], alpha)
-        k3 = w_rhs(b + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], p + 0.5 * dt * k2[2], alpha)
-        k4 = w_rhs(b + dt * k3[0], c + dt * k3[1], p + dt * k3[2], alpha)
-        b += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        c += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        p += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if not warned and abs(p) > 1.0 - 1e-6:
-            warnings.warn(
-                f"|p| within 1e-6 of 1 at t={i * dt:.6g}; coefficient tail under-resolved",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            warned = True
-        if i % record_stride == 0 or i == n_steps:
-            gt = 1.0 - abs(p) ** 2
-            ts.append(i * dt)
-            bs.append(b)
-            cs.append(c)
-            ps.append(p)
-            ms.append(abs(c) ** 2 / gt**2)
+    ts, rows = _rk4(lambda b, c, p: w_rhs(b, c, p, alpha), (w0.b, w0.c, w0.p),
+                    0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
+    # Python abs, as np.abs can differ by an ulp, which 1 - |p|^2 amplifies
+    cp = [(abs(c), abs(p)) for _, c, p in rows.tolist()]
+    near = [t for t, (_, ap) in zip(ts, cp) if ap > 1.0 - 1e-6]
+    if near:
+        warnings.warn(f"|p| within 1e-6 of 1 at t={near[0]:.6g}; coefficient tail "
+                      "under-resolved", RuntimeWarning, stacklevel=2)
     return WTrajectory(
-        t=np.asarray(ts),
-        b=np.asarray(bs),
-        c=np.asarray(cs),
-        p=np.asarray(ps),
-        momentum=np.asarray(ms),
+        t=ts,
+        b=rows[:, 0],
+        c=rows[:, 1],
+        p=rows[:, 2],
+        momentum=np.array([ac**2 / (1.0 - ap**2) ** 2 for ac, ap in cp]),
     )
 
 
 def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end: float,
                       record_stride: int = 1) -> ReducedTrajectory:
     """RK4 on the (beta, gamma, zeta) system at fixed momentum."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    n_steps = max(1, int(round(t_end / dt)))
-    beta, gamma, zeta = float(r0.beta), float(r0.gamma), complex(r0.zeta)
-    ts, betas, gammas, zetas = [0.0], [beta], [gamma], [zeta]
-    for i in range(1, n_steps + 1):
-        k1 = reduced_rhs(beta, gamma, zeta, alpha, m)
-        k2 = reduced_rhs(
-            beta + 0.5 * dt * k1[0], gamma + 0.5 * dt * k1[1], zeta + 0.5 * dt * k1[2], alpha, m
-        )
-        k3 = reduced_rhs(
-            beta + 0.5 * dt * k2[0], gamma + 0.5 * dt * k2[1], zeta + 0.5 * dt * k2[2], alpha, m
-        )
-        k4 = reduced_rhs(beta + dt * k3[0], gamma + dt * k3[1], zeta + dt * k3[2], alpha, m)
-        beta += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        gamma += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        zeta += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        if i % record_stride == 0 or i == n_steps:
-            ts.append(i * dt)
-            betas.append(beta)
-            gammas.append(gamma)
-            zetas.append(zeta)
+    ts, rows = _rk4(lambda b, g, z: reduced_rhs(b, g, z, alpha, m),
+                    (float(r0.beta), float(r0.gamma), complex(r0.zeta)),
+                    0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
     return ReducedTrajectory(
-        t=np.asarray(ts),
-        beta=np.asarray(betas),
-        gamma=np.asarray(gammas),
-        zeta=np.asarray(zetas),
+        t=ts,
+        beta=rows[:, 0].real,
+        gamma=rows[:, 1].real,
+        zeta=rows[:, 2],
         momentum=m,
     )
 
@@ -393,19 +386,34 @@ class StableManifoldResult:
     fp_iterations: int
 
 
-def _delta_form_q(x: np.ndarray, m: float) -> np.ndarray:
-    """Quadratic-cubic part Q(X) of dX/dt + A X = Q(X), vectorised over rows."""
-    beta, delta, zr, zi = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    q = np.zeros_like(x)
-    q[..., 2] = (beta + 3.0 * delta) * zi
-    q[..., 3] = (
-        -(beta + 3.0 * delta) * zr
+def _delta_form_q(beta, delta, zr, zi, m):
+    """Quadratic-cubic part (Q_zr, Q_zi) of dX/dt + A X = Q(X), elementwise.
+
+    The beta and delta components of Q vanish.
+    """
+    s = beta + 3.0 * delta
+    return s * zi, (
+        -s * zr
         - 2.0 * m * delta**2
         - 4.0 * m * beta * delta
         + delta**3
         + 3.0 * beta * delta**2
     )
-    return q
+
+
+def _delta_rhs(beta: float, delta: float, zeta: complex, alpha: float, m: float):
+    """Derivatives (dbeta, ddelta, dzeta) of X = (beta, delta, zeta): -A X + Q(X).
+
+    Integrating delta = M - gamma itself keeps its relative accuracy near the circle.
+    """
+    zr, zi = zeta.real, zeta.imag
+    qr, qi = _delta_form_q(beta, delta, zr, zi, m)
+    return (
+        -2.0 * alpha * beta + 2.0 * zi,
+        2.0 * zi,
+        complex(-alpha * zr - 2.0 * m * zi + qr,
+                m * m * (beta + delta) + 2.0 * m * zr - alpha * zi + qi),
+    )
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -462,7 +470,8 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        q = _delta_form_q(x, m)
+        q = np.zeros_like(x)
+        q[:, 2], q[:, 3] = _delta_form_q(x[:, 0], x[:, 1], x[:, 2], x[:, 3], m)
         integral = np.zeros_like(x)
         acc = np.zeros(4)
         for i in range(n_grid - 1, -1, -1):
@@ -486,38 +495,25 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
         )
     seed = x[0].copy()
 
-    def ode(y):
-        return -(a_mat @ y) + _delta_form_q(y, m)
+    # backward to t_end_back, then forward again as the round-trip check
+    n_steps = max(1, int(round((t_start - t_end_back) / dt)))
+    step = (t_start - t_end_back) / n_steps
 
-    def rk4_run(y0, t0, t1, h):
-        n = max(1, int(round(abs(t1 - t0) / h)))
-        step = (t1 - t0) / n
-        y = y0.copy()
-        out_t = np.empty(n + 1)
-        out_y = np.empty((n + 1, 4))
-        out_t[0], out_y[0] = t0, y
-        for i in range(1, n + 1):
-            k1 = ode(y)
-            k2 = ode(y + 0.5 * step * k1)
-            k3 = ode(y + 0.5 * step * k2)
-            k4 = ode(y + step * k3)
-            y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out_t[i] = t0 + i * step
-            out_y[i] = y
-        return out_t, out_y
+    def rhs(beta, delta, zeta):
+        return _delta_rhs(beta, delta, zeta, alpha, m)
 
-    back_t, back_y = rk4_run(seed, t_start, t_end_back, dt)
-    _, fwd_y = rk4_run(back_y[-1].copy(), t_end_back, t_start, dt)
-    roundtrip = float(np.max(np.abs(fwd_y[-1] - seed)))
+    back_t, back = _rk4(rhs, (float(seed[0]), float(seed[1]), complex(seed[2], seed[3])),
+                        t_start, -step, n_steps, 1)
+    b, d, z = back[-1].tolist()
+    b, d, z = _rk4(rhs, (b.real, d.real, z), t_end_back, step, n_steps, n_steps)[1][-1].tolist()
+    roundtrip = float(np.max(np.abs(np.array([b.real, d.real, z.real, z.imag]) - seed)))
 
-    order = np.argsort(back_t)
-    t_arr = back_t[order]
-    y_arr = back_y[order]
+    rows = back[::-1]
     return StableManifoldResult(
-        t=t_arr,
-        beta=y_arr[:, 0].copy(),
-        delta=y_arr[:, 1].copy(),
-        zeta=y_arr[:, 2] + 1j * y_arr[:, 3],
+        t=back_t[::-1],
+        beta=rows[:, 0].real,
+        delta=rows[:, 1].real,
+        zeta=rows[:, 2],
         alpha=alpha,
         momentum=m,
         beta_inf=beta_inf,

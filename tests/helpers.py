@@ -4,6 +4,7 @@ import numpy as np
 
 from damped_szego.hankel import explosion_criterion, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
+from damped_szego.wmanifold import linearization_matrix, reduced_rhs, w_rhs
 
 
 def dft_to_grid_oracle(u: HardyState) -> np.ndarray:
@@ -100,3 +101,68 @@ def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, rati
             if loss_time is None and a[-1] > ratio * a.max() > 0:
                 loss_time = i * dt
     return np.array(rows), loss_time, c
+
+
+def reference_integrate_w(w0, alpha, dt, t_end, stride):
+    """RK4 on (b, c, p), written out per variable; rows (t, b, c, p, momentum)."""
+    n_steps = max(1, int(round(t_end / dt)))
+    b, c, p = complex(w0.b), complex(w0.c), complex(w0.p)
+    rows = [(0.0, b, c, p, w0.momentum)]
+    for i in range(1, n_steps + 1):
+        k1 = w_rhs(b, c, p, alpha)
+        k2 = w_rhs(b + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], p + 0.5 * dt * k1[2], alpha)
+        k3 = w_rhs(b + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], p + 0.5 * dt * k2[2], alpha)
+        k4 = w_rhs(b + dt * k3[0], c + dt * k3[1], p + dt * k3[2], alpha)
+        b += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        c += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        p += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        if i % stride == 0 or i == n_steps:
+            rows.append((i * dt, b, c, p, abs(c) ** 2 / (1.0 - abs(p) ** 2) ** 2))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def reference_integrate_reduced(r0, alpha, m, dt, t_end, stride):
+    """RK4 on (beta, gamma, zeta), written out per variable; rows (t, beta, gamma, zeta)."""
+    n_steps = max(1, int(round(t_end / dt)))
+    beta, gamma, zeta = float(r0.beta), float(r0.gamma), complex(r0.zeta)
+    rows = [(0.0, beta, gamma, zeta)]
+    for i in range(1, n_steps + 1):
+        k1 = reduced_rhs(beta, gamma, zeta, alpha, m)
+        k2 = reduced_rhs(beta + 0.5 * dt * k1[0], gamma + 0.5 * dt * k1[1],
+                         zeta + 0.5 * dt * k1[2], alpha, m)
+        k3 = reduced_rhs(beta + 0.5 * dt * k2[0], gamma + 0.5 * dt * k2[1],
+                         zeta + 0.5 * dt * k2[2], alpha, m)
+        k4 = reduced_rhs(beta + dt * k3[0], gamma + dt * k3[1], zeta + dt * k3[2], alpha, m)
+        beta += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        gamma += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        zeta += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        if i % stride == 0 or i == n_steps:
+            rows.append((i * dt, beta, gamma, zeta))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def reference_delta_run(x0, alpha, m, t0, t1, h):
+    """RK4 on the real 4-vector X = (beta, delta, Re zeta, Im zeta) of
+    dX/dt = -A X + Q(X), from t0 to t1; returns times and states at every step."""
+    a_mat, _ = linearization_matrix(alpha, m)
+
+    def ode(y):
+        beta, delta, zr, zi = y
+        s = beta + 3.0 * delta
+        q = np.array([0.0, 0.0, s * zi, -s * zr - 2.0 * m * delta**2 - 4.0 * m * beta * delta
+                      + delta**3 + 3.0 * beta * delta**2])
+        return -(a_mat @ y) + q
+
+    n = max(1, int(round(abs(t1 - t0) / h)))
+    step = (t1 - t0) / n
+    y = np.array(x0, dtype=float)
+    ts, ys = [t0], [y]
+    for i in range(1, n + 1):
+        k1 = ode(y)
+        k2 = ode(y + 0.5 * step * k1)
+        k3 = ode(y + 0.5 * step * k2)
+        k4 = ode(y + step * k3)
+        y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ts.append(t0 + i * step)
+        ys.append(y)
+    return np.array(ts), np.array(ys)

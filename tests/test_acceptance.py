@@ -82,10 +82,12 @@ def test_criterion_03_lyapunov_residual(single_pole_run):
     resid = check_lyapunov(result.diagnostics, alpha=1.0)
     assert resid <= 1e-5
 
-    u0 = pole_state(0.5, 256)
-    cfg = SolverConfig(alpha=0.0, dt=1e-3, t_end=20.0, grid_size=256, record_stride=100)
-    with pytest.warns(Warning):
-        series0 = evolve(u0, cfg).diagnostics
+    # N=512 keeps the undamped run resolved to t=1.5 (N=256 loses resolution at t=1.3)
+    u0 = pole_state(0.5, 512)
+    cfg = SolverConfig(alpha=0.0, dt=1e-3, t_end=1.5, grid_size=512, record_stride=100)
+    run0 = evolve(u0, cfg)
+    assert not run0.resolution_loss, run0.resolution_loss_time
+    series0 = run0.diagnostics
     drift0 = np.max(np.abs(series0.l2_sq - series0.l2_sq[0])) / series0.l2_sq[0]
     assert drift0 <= 1e-9
     log_acceptance(f"PASS 03 Lyapunov residual {resid:.3e} (tol 1e-5); "

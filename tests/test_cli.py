@@ -14,6 +14,7 @@ from damped_szego.initial_conditions import parse_initial_condition
 from damped_szego.presets import (
     CONFIG_KEYS,
     PRESET_NAMES,
+    VERDICT_KEYS,
     build_config,
     load_config_file,
     run_experiment,
@@ -270,6 +271,19 @@ def test_cli_criterion_verdicts():
         proc = run_cli("criterion", "--ic", ic, "--n", "512", "--size", "128")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verdict"] == expected
+
+
+def test_criterion_and_simulate_write_the_same_verdict(tmp_path):
+    proc = run_cli("criterion", "--ic", "pole:0.5", "--n", "256", "--size", "64",
+                   "--out", str(tmp_path / "a"))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("simulate", "--preset", "custom", "--ic", "pole:0.5", "--n", "256",
+                   "--t-end", "0.01", "--dt", "1e-3", "--record-stride", "1",
+                   "--spectrum-size", "64", "--out", str(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stderr
+    a = (tmp_path / "a" / "verdict.json").read_bytes()
+    assert a == (tmp_path / "b" / "verdict.json").read_bytes()
+    assert set(json.loads(a)) == set(VERDICT_KEYS)
 
 
 def test_cli_spectrum_artifacts(tmp_path):

@@ -141,11 +141,13 @@ def test_evolve_circle_conserves_l2_and_momentum():
     assert np.max(np.abs(series.momentum - series.momentum[0])) < 1e-12 * series.momentum[0]
 
 
-@pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")
 def test_evolve_undamped_conserves_l2():
-    u0 = pole_state(0.5, 256)
-    cfg = SolverConfig(alpha=0.0, dt=1e-3, t_end=20.0, grid_size=256, record_stride=100)
-    series = evolve(u0, cfg).diagnostics
+    # resolved to t=1.5 at N=512
+    u0 = pole_state(0.5, 512)
+    cfg = SolverConfig(alpha=0.0, dt=1e-3, t_end=1.5, grid_size=512, record_stride=100)
+    result = evolve(u0, cfg)
+    assert not result.resolution_loss, result.resolution_loss_time
+    series = result.diagnostics
     drift = np.max(np.abs(series.l2_sq - series.l2_sq[0])) / series.l2_sq[0]
     assert drift < 1e-9
 

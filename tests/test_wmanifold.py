@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from damped_szego.errors import (
     FitError,
@@ -10,6 +12,7 @@ from damped_szego.hardy import GridField, from_grid, grid_points, hs_norm_sq
 from damped_szego.initial_conditions import gaussian_state
 from damped_szego.solver import SolverConfig, evolve
 from damped_szego.wmanifold import (
+    ReducedState,
     ReducedTrajectory,
     WState,
     WTrajectory,
@@ -31,8 +34,13 @@ from damped_szego.wmanifold import (
     w_rhs,
     w_to_hardy,
 )
-from damped_szego.wmanifold import _delta_form_q
-from helpers import finite_diff
+from damped_szego.wmanifold import _delta_rhs
+from helpers import (
+    finite_diff,
+    reference_delta_run,
+    reference_integrate_reduced,
+    reference_integrate_w,
+)
 
 PARAM_GRID = [(a, m) for a in (1.0, 2.0) for m in (1.0, 16.0 / 9.0, 3.0)]
 
@@ -191,17 +199,32 @@ def test_delta_form_matches_gamma_form():
     alpha, m = 1.0, 1.5
     beta, delta = 0.04, 0.03
     zeta = 0.01 - 0.02j
+    db, dd, dz = _delta_rhs(beta, delta, zeta, alpha, m)
+    rb, rg, rz = reduced_rhs(beta, m - delta, zeta, alpha, m)
+    assert abs(db - rb) < 1e-14
+    assert abs(dd - (-rg)) < 1e-14
+    assert abs(dz - rz) < 1e-14
+
+    # its linear part is -A, with A the linearization matrix
+    eps = 1e-7
     x = np.array([beta, delta, zeta.real, zeta.imag])
     a_mat, _ = linearization_matrix(alpha, m)
-    dx = -(a_mat @ x) + _delta_form_q(x, m)
-    rb, rg, rz = reduced_rhs(beta, m - delta, zeta, alpha, m)
-    assert abs(dx[0] - rb) < 1e-14
-    assert abs(dx[1] - (-rg)) < 1e-14
-    assert abs(dx[2] - rz.real) < 1e-14
-    assert abs(dx[3] - rz.imag) < 1e-14
+    db, dd, dz = _delta_rhs(eps * beta, eps * delta, eps * zeta, alpha, m)
+    lin = np.array([db, dd, dz.real, dz.imag]) / eps
+    assert np.max(np.abs(lin + a_mat @ x)) < 1e-8
 
 
 # --- integrators ------------------------------------------------------------
+
+@pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(t_end=-1.0), dict(record_stride=0),
+                                    dict(record_stride=-5)])
+def test_integrators_reject_bad_steps(kwargs):
+    args = {"dt": 1e-3, "t_end": 1.0, "record_stride": 1, **kwargs}
+    with pytest.raises(ValueError):
+        integrate_w(WState(0, 1.0, 0.5), 1.0, **args)
+    with pytest.raises(ValueError):
+        integrate_reduced(ReducedState(0.0, 1.0, 0j), 1.0, 2.0, **args)
+
 
 def test_integrate_w_circle_is_steady():
     traj = integrate_w(WState(0, 1.0, 0), alpha=1.0, dt=1e-3, t_end=5.0, record_stride=100)
@@ -273,6 +296,86 @@ def test_reduced_integration_preserves_constraint():
     traj = integrate_reduced(reduced_from_w(w0), 1.0, m, dt=1e-3, t_end=10.0, record_stride=100)
     resid = np.abs(np.abs(traj.zeta) ** 2 - (m - traj.gamma) * traj.gamma**2 * traj.beta)
     assert resid.max() < 1e-8 * m**3
+
+
+W_STATES = [
+    WState(0.2, 1.0, 0.4),
+    WState(0.3, 1.0, 0.3 + 0.2j),
+    WState(0.1 - 0.05j, 0.8 + 0.3j, 0.6 * np.exp(1.0j)),
+]
+
+
+@pytest.mark.parametrize("w0", W_STATES)
+def test_integrate_w_matches_reference_bitwise(w0):
+    traj = integrate_w(w0, 1.0, dt=1e-3, t_end=2.0, record_stride=7)
+    ref = reference_integrate_w(w0, 1.0, 1e-3, 2.0, 7)
+    for got, want in zip((traj.t, traj.b, traj.c, traj.p, traj.momentum), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("w0", W_STATES)
+def test_integrate_reduced_matches_reference_bitwise(w0):
+    r0, m = reduced_from_w(w0), w0.momentum
+    traj = integrate_reduced(r0, 1.0, m, dt=1e-3, t_end=2.0, record_stride=7)
+    ref = reference_integrate_reduced(r0, 1.0, m, 1e-3, 2.0, 7)
+    for got, want in zip((traj.t, traj.beta, traj.gamma, traj.zeta), ref):
+        assert np.array_equal(got, want)
+
+
+def test_stable_manifold_matches_reference_run():
+    alpha, m = 1.0, 2.0
+    res = stable_manifold_trajectory(0.5, alpha, m)
+    t, y = reference_delta_run(res.seed, alpha, m, res.t_start, 0.0, 2.5e-4)
+    assert np.array_equal(res.t, t[::-1])
+    got = np.column_stack([res.beta, res.delta, res.zeta.real, res.zeta.imag])
+    want = y[::-1]
+    assert np.max(np.abs(got - want) / np.abs(want).max(axis=0)) < 1e-14
+
+
+@pytest.mark.parametrize("system", ["w", "reduced"])
+def test_ode_rk4_halving_dt_gains_factor_16(system):
+    w0 = W_STATES[2]
+    m = w0.momentum
+    r0 = reduced_from_w(w0)
+    t_end = 2.0
+
+    def final(dt):
+        if system == "w":
+            traj = integrate_w(w0, 1.0, dt, t_end, record_stride=10**9)
+            return np.array([traj.b[-1], traj.c[-1], traj.p[-1]])
+        traj = integrate_reduced(r0, 1.0, m, dt, t_end, record_stride=10**9)
+        return np.array([traj.beta[-1], traj.gamma[-1], traj.zeta[-1]])
+
+    ref = final(1.25e-3)
+    errs = [np.linalg.norm(final(dt) - ref) for dt in (0.04, 0.02, 0.01)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 10.0 < coarse / fine < 24.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    b=st.complex_numbers(max_magnitude=1.0),
+    m=st.floats(0.5, 3.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    r=st.floats(0.0, 0.9),
+    arg=st.floats(0.0, 2.0 * np.pi),
+    alpha=st.floats(0.5, 2.0),
+)
+def test_ode_invariants_on_random_states(b, m, phase, r, arg, alpha):
+    # c is chosen so that the momentum is m
+    p = r * np.exp(1j * arg)
+    w0 = WState(b, np.sqrt(m) * (1.0 - r * r) * np.exp(1j * phase), p)
+    traj = integrate_w(w0, alpha, dt=5e-4, t_end=2.0, record_stride=200)
+    assert np.max(np.abs(traj.momentum - w0.momentum)) < 1e-10 * w0.momentum
+    assert np.all(np.diff(traj.l2_sq) <= 1e-12 * traj.l2_sq[0])
+
+    rtraj = integrate_reduced(reduced_from_w(w0), alpha, w0.momentum, dt=5e-4, t_end=2.0,
+                              record_stride=200)
+    pushed = [reduced_from_w(traj.state(i)) for i in range(len(traj.t))]
+    scale = max(1.0, w0.momentum) ** 3
+    assert np.max(np.abs(rtraj.beta - [r.beta for r in pushed])) < 1e-9 * scale
+    assert np.max(np.abs(rtraj.gamma - [r.gamma for r in pushed])) < 1e-9 * scale
+    assert np.max(np.abs(rtraj.zeta - [r.zeta for r in pushed])) < 1e-9 * scale
 
 
 # --- closed forms -----------------------------------------------------------
