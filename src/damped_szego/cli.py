@@ -46,18 +46,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one or more preset experiments")
+    # No abbreviations: the removed --s would otherwise mean --spectrum-size.
+    sim = sub.add_parser("simulate", help="run one or more preset experiments", allow_abbrev=False)
     sim.add_argument("--preset", default="single_pole",
                      help=f"comma-separated presets from {', '.join(PRESET_NAMES)}")
     sim.add_argument("--config", help="flat key = value configuration file")
     sim.add_argument("--out", default="out", help="output directory")
     for key, spec in CONFIG_KEYS.items():
-        if spec.flag and spec.kind == "bool":
-            sim.add_argument(spec.flag, action="store_true", default=None, dest=key,
-                             help=spec.help)
-        elif spec.flag:
+        if spec.flag:
             sim.add_argument(spec.flag, type=spec.kind, dest=key, help=spec.help)
-    sim.add_argument("--jobs", type=int, default=1, help="run presets in parallel processes")
 
     crit = sub.add_parser("criterion", help="evaluate the explosion criterion for one state")
     _add_state_args(crit)
@@ -115,34 +112,15 @@ def _simulate_overrides(args) -> dict:
 
 def _cmd_simulate(args):
     overrides = _simulate_overrides(args)
-    presets = [p.strip() for p in args.preset.split(",") if p.strip()]
-    jobs = max(1, args.jobs)
+    names = [p.strip() for p in args.preset.split(",") if p.strip()]
+    configs = {name: build_config(name, overrides) for name in names}
     results = {}
-    if jobs > 1 and len(presets) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                name: pool.submit(_run_one, name, overrides, args.out, len(presets) > 1)
-                for name in presets
-            }
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for name in presets:
-            results[name] = _run_one(name, overrides, args.out, len(presets) > 1)
-
-    all_passed = all(results.values())
+    for name, cfg in configs.items():
+        out_dir = os.path.join(args.out, name) if len(names) > 1 else args.out
+        results[name] = run_experiment(cfg, out_dir=out_dir).passed
     for name, ok in results.items():
         print(f"{'PASS' if ok else 'FAIL'} {name}")
-    return 0 if all_passed else 1
-
-
-def _run_one(name, overrides, out_root, nested) -> bool:
-    cfg = build_config(name, overrides)
-    out_dir = os.path.join(out_root, name) if nested else out_root
-    result = run_experiment(cfg, out_dir=out_dir)
-    return result.passed
+    return 0 if all(results.values()) else 1
 
 
 def _cmd_criterion(args):
@@ -174,6 +152,9 @@ def _cmd_spectrum(args):
 
 
 def _cmd_wode(args):
+    for name in ("dt", "t_end", "record_stride"):
+        if getattr(args, name) <= 0:
+            raise ConfigError(f"{name} must be positive", field=name)
     w0 = WState(b=args.b, c=args.c, p=args.p)
     traj = integrate_w(w0, args.alpha, args.dt, args.t_end, record_stride=args.record_stride)
     label = classify_w_run(traj)

@@ -3,7 +3,7 @@
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +30,7 @@ from .wmanifold import (
     gamma_tail_fit,
     integrate_reduced,
     linearization_matrix,
+    linearized_q0,
     stable_manifold_trajectory,
 )
 
@@ -69,44 +70,40 @@ class ExperimentConfig:
     t_start: float = None
     t_end_back: float = 0.0
     ode_dt: float = 1e-3
-    s_fit: float = 1.0
-    paper_horizon: bool = False
+
+    def later_snapshots(self):
+        """The snapshot times in (0, t_end]."""
+        return tuple(t for t in self.snapshot_times if 0 < t <= self.t_end + 1e-12)
 
     def validate(self):
-        if self.preset not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {self.preset!r}", field="preset")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0", field="alpha")
-        if self.dt <= 0 or self.t_end <= 0 or self.ode_dt <= 0:
-            raise ConfigError("time steps and horizons must be positive", field="dt")
-        if self.grid_size <= 0 or self.grid_size % 2:
-            raise ConfigError("n must be even and positive", field="n")
-        if self.beta_inf <= 0:
-            raise ConfigError("beta_inf must be positive", field="beta_inf")
+        rules = {
+            "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
+            "alpha": (self.alpha >= 0, "alpha must be >= 0"),
+            "dt": (self.dt > 0, "dt must be positive"),
+            "t_end": (self.t_end > 0, "t_end must be positive"),
+            "ode_dt": (self.ode_dt > 0, "ode_dt must be positive"),
+            "n": (self.grid_size > 0 and self.grid_size % 2 == 0, "n must be even and positive"),
+            "record_stride": (self.record_stride >= 1, "record_stride must be >= 1"),
+            "krasny_threshold": (0 <= self.krasny_threshold < 1,
+                                 "krasny_threshold must lie in [0, 1)"),
+            "spectrum_size": (self.spectrum_size >= 1, "spectrum_size must be >= 1"),
+            "sobolev_exponents": (min(self.sobolev_exponents, default=1.0) >= 0.5,
+                                  "Sobolev exponents must be >= 1/2"),
+            "beta_inf": (self.beta_inf > 0, "beta_inf must be positive"),
+            "t_end_back": (self.t_start is None or self.t_end_back < self.t_start,
+                           "t_end_back must be smaller than t_start"),
+            # The K_u^2 invariance gate compares u(0) with these snapshots only.
+            "snapshot_times": (self.preset != "two_poles" or self.later_snapshots(),
+                               "two_poles needs a snapshot time in (0, t_end]"),
+        }
+        for name, (ok, message) in rules.items():
+            if not ok:
+                raise ConfigError(message, field=name)
         return self
 
 
-_PDE_PRESETS = {
-    "single_pole": dict(ic="pole:0.5", alpha=1.0, dt=2e-4, t_end=20.0, grid_size=4096,
-                        record_stride=10, spectrum_size=256),
-    "two_poles": dict(ic="poles:0.7,0.8", alpha=1.0, dt=2e-4, t_end=20.0, grid_size=4096,
-                      record_stride=10, spectrum_size=512, snapshot_times=(0.0, 2.5, 5.0)),
-    "gaussian": dict(ic="gaussian:10", alpha=1.0, dt=2e-3, t_end=100.0, grid_size=4096,
-                     record_stride=10, spectrum_size=128),
-    "baby": dict(ic="perturbed_circle:0.05", alpha=1.0, dt=1e-3, t_end=20.0, grid_size=2048,
-                 record_stride=10, spectrum_size=64, m=1.0),
-    "custom": dict(),
-}
-
-_ODE_PRESETS = {
-    "kappa_fit": dict(alpha=1.0, m=16.0 / 9.0, t_end=500.0, ode_dt=1e-3),
-    "stable_manifold": dict(alpha=1.0, m=1.0, beta_inf=1.0),
-}
-
-PRESET_NAMES = tuple(_PDE_PRESETS) + tuple(_ODE_PRESETS)
-
 class ConfigKey(NamedTuple):
-    """A config-file key's type (a type, "floats" or "bool"), its ``simulate`` flag
+    """A config-file key's type (a type or "floats"), its ``simulate`` flag
     and help, if any, and its ExperimentConfig field when that is not the key."""
 
     kind: object
@@ -126,12 +123,9 @@ CONFIG_KEYS = {
     "record_stride": ConfigKey(int, "--record-stride"),
     "krasny_threshold": ConfigKey(float, "--krasny-threshold"),
     "spectrum_size": ConfigKey(int, "--spectrum-size"),
-    "s_fit": ConfigKey(float, "--s", "Sobolev exponent for growth fits"),
     "m": ConfigKey(float, "--m", "momentum for ODE presets"),
     "beta_inf": ConfigKey(float, "--beta-inf"),
     "ode_dt": ConfigKey(float, "--ode-dt"),
-    "paper_horizon": ConfigKey("bool", "--paper-horizon",
-                               "restore the long t_end=1000 horizon of the gaussian preset"),
     "sobolev_exponents": ConfigKey("floats"),
     "cluster_tol": ConfigKey(float),
     "rank_cutoff": ConfigKey(float),
@@ -147,13 +141,6 @@ def _coerce(key, raw, line=None):
     kind = CONFIG_KEYS[key].kind
     raw = raw.strip()
     try:
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "floats":
             return tuple(float(p) for p in raw.split(",") if p.strip())
         return kind(raw)
@@ -181,21 +168,15 @@ def load_config_file(path) -> dict:
 
 def build_config(preset: str, overrides: dict = None) -> ExperimentConfig:
     """Preset defaults, then file/flag overrides, then validation."""
-    if preset not in PRESET_NAMES:
+    if preset not in _PRESETS:
         raise ConfigError(f"unknown preset {preset!r}", field="preset")
     named = (overrides or {}).get("preset")
     if named is not None and named != preset:
         raise ConfigError(f"overrides name preset {named!r}, but {preset!r} is being built",
                           field="preset")
-    values = dict(_PDE_PRESETS.get(preset) or _ODE_PRESETS.get(preset) or {})
-    values["preset"] = preset
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-    cfg = replace(ExperimentConfig(), **values)
-    if cfg.preset == "gaussian" and cfg.paper_horizon and "t_end" not in (overrides or {}):
-        cfg = replace(cfg, t_end=1000.0)
-    return cfg.validate()
+    values = {**_PRESETS[preset][1], "preset": preset}
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return ExperimentConfig(**values).validate()
 
 
 @dataclass
@@ -203,8 +184,8 @@ class ExperimentResult:
     preset: str
     passed: bool
     checks: list
-    artifacts: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
+    artifacts: dict
+    values: dict
 
 
 def _check(name, value, target, tol, mode="abs"):
@@ -272,7 +253,7 @@ def _spectrum_drift(base_state, states, size):
     return worst
 
 
-def _run_pde(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_pde(cfg: ExperimentConfig):
     u0 = parse_initial_condition(cfg.ic, cfg.grid_size)
     solver_cfg = SolverConfig(
         alpha=cfg.alpha,
@@ -281,10 +262,9 @@ def _run_pde(cfg: ExperimentConfig) -> ExperimentResult:
         grid_size=cfg.grid_size,
         krasny_threshold=cfg.krasny_threshold,
         record_stride=cfg.record_stride,
-        sobolev_exponents=cfg.sobolev_exponents,
+        sobolev_exponents=tuple(sorted({1.0, *cfg.sobolev_exponents})),
     )
-    snaps = tuple(t for t in cfg.snapshot_times if t <= cfg.t_end + 1e-12)
-    result = evolve(u0, solver_cfg, snapshot_times=snaps)
+    result = evolve(u0, solver_cfg, snapshot_times=cfg.later_snapshots())
     series = result.diagnostics
 
     spec, verdict, summary = spectrum_report(
@@ -296,15 +276,13 @@ def _run_pde(cfg: ExperimentConfig) -> ExperimentResult:
     drift = float(np.max(np.abs(series.momentum - mom0)) / abs(mom0)) if mom0 else 0.0
     lyap = check_lyapunov(series, cfg.alpha)
 
-    s_fit = cfg.s_fit if cfg.s_fit in series.hs_sq else cfg.sobolev_exponents[0]
-    hs = series.hs_sq[s_fit]
+    # Every gate and fit reads the squared H^1 norm.
+    hs = series.hs_sq[1.0]
     half = series.t >= 0.5 * series.t[-1]
     slope, intercept = linear_fit(series.t[half], hs[half])
     r2 = r_squared(series.t[half], hs[half], slope, intercept)
     window = (float(series.t[half][0]), float(series.t[-1]))
 
-    checks = []
-    fits = []
     values = {
         "momentum_drift": drift,
         "lyapunov_residual": lyap,
@@ -313,66 +291,51 @@ def _run_pde(cfg: ExperimentConfig) -> ExperimentResult:
         "hs_slope": slope,
         "hs_fit_r2": r2,
     }
+    if cfg.preset in ("two_poles", "gaussian"):
+        later = [s for _, s in result.snapshots] if cfg.preset == "two_poles" else [result.u_final]
+        values["spectrum_invariance"] = _spectrum_drift(u0, later, cfg.spectrum_size)
+    invariance = ("spectrum_invariance", values.get("spectrum_invariance"), 0.0, 1e-6)
+    explodes = ("verdict", verdict.verdict.value, "ExplodesStrict", None, "eq")
+    positive_slope = ("positive_slope", slope, 0.0, None, "ge")
 
+    slope_target, fits = slope, []
     if cfg.preset == "single_pole":
-        m = hardy_momentum(u0)
-        target = asymptotic_constants(cfg.alpha, m).growth_coeff(1.0)
-        fits.append(_fit_entry("h1_sq_slope", target, slope, window))
-        checks.append(_check("h1_slope_vs_prediction", slope, target, 0.05, mode="rel"))
-        checks.append(_check("momentum_drift", drift, 0.0, 1e-9))
-        checks.append(_check("lyapunov_residual", lyap, 0.0, 1e-5))
-        checks.append(_check("verdict", verdict.verdict.value, "ExplodesStrict", None, mode="eq"))
+        slope_target = asymptotic_constants(cfg.alpha, hardy_momentum(u0)).growth_coeff(1.0)
+        gates = [("h1_slope_vs_prediction", slope, slope_target, 0.05, "rel"),
+                 ("momentum_drift", drift, 0.0, 1e-9),
+                 ("lyapunov_residual", lyap, 0.0, 1e-5), explodes]
     elif cfg.preset == "two_poles":
-        fits.append(_fit_entry("h1_sq_slope", slope, slope, window))
-        checks.append(_check("k_rank", len(spec), 2, None, mode="eq"))
-        checks.append(_check("linear_growth_r2", r2, 0.99, None, mode="ge"))
-        checks.append(_check("positive_slope", slope, 0.0, None, mode="ge"))
-        if result.snapshots:
-            states = [state for _, state in result.snapshots]
-            worst = _spectrum_drift(states[0], states[1:], cfg.spectrum_size)
-            values["spectrum_invariance"] = worst
-            checks.append(_check("spectrum_invariance", worst, 0.0, 1e-6))
+        gates = [("k_rank", len(spec), 2, None, "eq"), ("linear_growth_r2", r2, 0.99, None, "ge"),
+                 positive_slope, invariance]
     elif cfg.preset == "gaussian":
         # H^s -> infinity is proved for ExplodesStrict data, but no rate is: the
         # squared H^1 norm beats around its trend, so R^2 is reported, not gated.
-        fits.append(_fit_entry("h1_sq_slope", slope, slope, window))
-        checks.append(_check("momentum_drift", drift, 0.0, 1e-8))
-        checks.append(_check("positive_slope", slope, 0.0, None, mode="ge"))
-        checks.append(_check("verdict", verdict.verdict.value, "ExplodesStrict", None, mode="eq"))
-        worst = _spectrum_drift(u0, [result.u_final], cfg.spectrum_size)
-        values["spectrum_invariance"] = worst
-        checks.append(_check("spectrum_invariance", worst, 0.0, 1e-6))
+        gates = [("momentum_drift", drift, 0.0, 1e-8), positive_slope, explodes, invariance]
     elif cfg.preset == "baby":
         eps = abs(u0.coeffs[0])
-        min_l2 = float(series.l2_sq.min())
-        values["min_l2_sq"] = min_l2
-        checks.append(_check("l2_dips_by_eps_sq", min_l2, float(series.l2_sq[0] - eps**2),
-                             None, mode="le"))
-        consts = asymptotic_constants(cfg.alpha, cfg.m)
-        rate_target = 0.5 * (consts.a - cfg.alpha)
+        values["min_l2_sq"] = float(series.l2_sq.min())
+        rate_target = 0.5 * (asymptotic_constants(cfg.alpha, cfg.m).a - cfg.alpha)
         rate = _linearized_growth_rate(cfg.alpha, cfg.m)
-        fits.append(_fit_entry("linearized_growth_rate", rate_target, rate, (30.0, 40.0)))
-        checks.append(_check("linearized_growth_rate", abs(rate - rate_target), 0.0, 1e-10))
+        fits = [_fit_entry("linearized_growth_rate", rate_target, rate, (30.0, 40.0))]
+        gates = [("l2_dips_by_eps_sq", values["min_l2_sq"], float(series.l2_sq[0] - eps**2),
+                  None, "le"),
+                 ("linearized_growth_rate", abs(rate - rate_target), 0.0, 1e-10)]
+    else:
+        gates = []
+    if cfg.preset in ("single_pole", "two_poles", "gaussian"):
+        fits = [_fit_entry("h1_sq_slope", slope_target, slope, window)]
 
-    return ExperimentResult(
-        preset=cfg.preset,
-        passed=all(c["passed"] for c in checks),
-        checks=checks,
-        values=values,
-        artifacts={
-            "diagnostics": series,
-            "spectrum": spec,
-            "spectrum_summary": summary,
-            "verdict": verdict,
-            "fits": fits,
-            "result": result,
-        },
-    )
+    return gates, values, {
+        "diagnostics": series,
+        "spectrum": spec,
+        "spectrum_summary": summary,
+        "verdict": verdict,
+        "fits": fits,
+        "result": result,
+    }
 
 
 def _linearized_growth_rate(alpha, m):
-    from .wmanifold import linearized_q0
-
     q0_0 = 1.0 + 0j
     dq0_0 = -(alpha + 1j * m)
     lo, hi = 30.0, 40.0
@@ -381,7 +344,7 @@ def _linearized_growth_rate(alpha, m):
     return (math.log(abs(qb)) - math.log(abs(qa))) / (hi - lo)
 
 
-def _run_kappa(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_kappa(cfg: ExperimentConfig):
     m = cfg.m
     gamma0 = cfg.gamma0 if cfg.gamma0 is not None else 0.75 * m
     r0 = ReducedState(beta=0.0, gamma=gamma0, zeta=0j)
@@ -390,18 +353,11 @@ def _run_kappa(cfg: ExperimentConfig) -> ExperimentResult:
     kappa = asymptotic_constants(cfg.alpha, m).kappa
     window = (0.5 * cfg.t_end, cfg.t_end)
     fitted = gamma_tail_fit(traj, window=window)
-    checks = [_check("kappa_fit", fitted, kappa, 0.05, mode="rel")]
-    fits = [_fit_entry("gamma_times_t", kappa, fitted, window)]
-    return ExperimentResult(
-        preset=cfg.preset,
-        passed=all(c["passed"] for c in checks),
-        checks=checks,
-        values={"kappa": kappa, "fitted": fitted},
-        artifacts={"trajectory": traj, "fits": fits},
-    )
+    return ([("kappa_fit", fitted, kappa, 0.05, "rel")], {"kappa": kappa, "fitted": fitted},
+            {"trajectory": traj, "fits": [_fit_entry("gamma_times_t", kappa, fitted, window)]})
 
 
-def _run_stable(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_stable(cfg: ExperimentConfig):
     consts = asymptotic_constants(cfg.alpha, cfg.m)
     result = stable_manifold_trajectory(
         cfg.beta_inf, cfg.alpha, cfg.m, t_start=cfg.t_start, t_end_back=cfg.t_end_back,
@@ -410,37 +366,48 @@ def _run_stable(cfg: ExperimentConfig) -> ExperimentResult:
     ratio = delta_beta_ratio(result)
     rate_target = consts.decay_rate
     ratio_target = (consts.a - cfg.alpha) / (consts.a + cfg.alpha)
-    checks = [
-        _check("beta_decay_rate", rate, rate_target, 0.01, mode="rel"),
-        _check("delta_beta_ratio", ratio, ratio_target, 0.01, mode="rel"),
-        _check("roundtrip_residual", result.roundtrip_residual, 0.0, 1e-8),
+    gates = [
+        ("beta_decay_rate", rate, rate_target, 0.01, "rel"),
+        ("delta_beta_ratio", ratio, ratio_target, 0.01, "rel"),
+        ("roundtrip_residual", result.roundtrip_residual, 0.0, 1e-8),
     ]
     fits = [
         _fit_entry("beta_decay_rate", rate_target, rate, (0.5 * result.t_start, result.t_start)),
         _fit_entry("delta_beta_ratio", ratio_target, ratio, (0.8 * result.t_start, result.t_start)),
     ]
-    return ExperimentResult(
-        preset=cfg.preset,
-        passed=all(c["passed"] for c in checks),
-        checks=checks,
-        values={
-            "roundtrip_residual": result.roundtrip_residual,
-            "fp_iterations": result.fp_iterations,
-            "t_start": result.t_start,
-        },
-        artifacts={"stable": result, "fits": fits},
-    )
+    values = {
+        "roundtrip_residual": result.roundtrip_residual,
+        "fp_iterations": result.fp_iterations,
+        "t_start": result.t_start,
+    }
+    return gates, values, {"stable": result, "fits": fits}
+
+
+# Each preset's runner and the fields it sets over the ExperimentConfig
+# defaults.  A runner returns (gates, values, artifacts); each gate holds the
+# arguments of _check.
+_PRESETS = {
+    "single_pole": (_run_pde, dict(ic="pole:0.5", spectrum_size=256)),
+    "two_poles": (_run_pde, dict(ic="poles:0.7,0.8", spectrum_size=512,
+                                 snapshot_times=(0.0, 2.5, 5.0))),
+    "gaussian": (_run_pde, dict(ic="gaussian:10", dt=2e-3, t_end=100.0)),
+    "baby": (_run_pde, dict(ic="perturbed_circle:0.05", dt=1e-3, grid_size=2048,
+                            spectrum_size=64)),
+    "custom": (_run_pde, {}),
+    "kappa_fit": (_run_kappa, dict(m=16.0 / 9.0, t_end=500.0)),
+    "stable_manifold": (_run_stable, {}),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
-    """Run one preset and, if ``out_dir`` is given, write its artifact files."""
+    """Run one preset, check its gates and, if ``out_dir`` is given, write its artifact files."""
     cfg.validate()
-    if cfg.preset == "kappa_fit":
-        result = _run_kappa(cfg)
-    elif cfg.preset == "stable_manifold":
-        result = _run_stable(cfg)
-    else:
-        result = _run_pde(cfg)
+    gates, values, artifacts = _PRESETS[cfg.preset][0](cfg)
+    checks = [_check(*gate) for gate in gates]
+    result = ExperimentResult(cfg.preset, all(c["passed"] for c in checks), checks,
+                              artifacts, values)
     if out_dir is not None:
         _write_artifacts(cfg, result, out_dir)
     return result

@@ -21,6 +21,7 @@ from damped_szego.presets import (
     verify_identities,
 )
 from damped_szego.reporting import csv_table, spectrum_csv
+from damped_szego.wmanifold import asymptotic_constants
 
 
 # The child interpreter imports the package from where this one found it.
@@ -148,17 +149,14 @@ def test_simulate_flags_are_pinned():
         (("--record-stride",), "record_stride"),
         (("--krasny-threshold",), "krasny_threshold"),
         (("--spectrum-size",), "spectrum_size"),
-        (("--s",), "s_fit"),
         (("--m",), "m"),
         (("--beta-inf",), "beta_inf"),
         (("--ode-dt",), "ode_dt"),
-        (("--paper-horizon",), "paper_horizon"),
-        (("--jobs",), "jobs"),
     ]
 
 
 # A value of each kind that differs from every preset default.
-_SAMPLE = {float: "0.375", int: "6", str: "pole:0.25", "bool": "true"}
+_SAMPLE = {float: "0.375", int: "6", str: "pole:0.25"}
 
 
 @pytest.mark.parametrize("key", [k for k, spec in CONFIG_KEYS.items() if spec.flag])
@@ -166,8 +164,7 @@ def test_flag_and_config_key_set_the_same_field(tmp_path, key):
     spec = CONFIG_KEYS[key]
     field = spec.field or key
     raw = _SAMPLE[spec.kind]
-    argv = [spec.flag] if spec.kind == "bool" else [spec.flag, raw]
-    by_flag = _simulate_overrides(_simulate_parser().parse_args(argv))
+    by_flag = _simulate_overrides(_simulate_parser().parse_args([spec.flag, raw]))
     cfg_file = tmp_path / "one.cfg"
     cfg_file.write_text(f"{key} = {raw}\n")
     by_file = _simulate_overrides(_simulate_parser().parse_args(["--config", str(cfg_file)]))
@@ -194,10 +191,74 @@ def test_build_config_rejects_unknown_preset():
 
 
 def test_preset_names_documented():
-    assert set(PRESET_NAMES) == {
+    # the order of simulate --help
+    assert PRESET_NAMES == (
         "single_pole", "two_poles", "gaussian", "baby", "custom",
         "kappa_fit", "stable_manifold",
-    }
+    )
+
+
+_PDE_VALUES = ["momentum_drift", "lyapunov_residual", "verdict", "resolution_loss",
+               "hs_slope", "hs_fit_r2"]
+_M_POLE = 16.0 / 9.0  # momentum of pole:0.5
+_STABLE = asymptotic_constants(1.0, 1.0)
+
+# Per preset: small overrides, the ordered (name, target, tol, mode) of its checks,
+# its values keys and its fit.json names.
+_PRESET_GATES = {
+    "single_pole": (
+        {},
+        [("h1_slope_vs_prediction", 4.0 * _M_POLE**3 / (1.0 + _M_POLE**2), 0.05, "rel"),
+         ("momentum_drift", 0.0, 1e-9, "abs"), ("lyapunov_residual", 0.0, 1e-5, "abs"),
+         ("verdict", "ExplodesStrict", None, "eq")],
+        _PDE_VALUES, ["h1_sq_slope"]),
+    "two_poles": (
+        {"snapshot_times": (0.0, 1.0, 2.0)},
+        [("k_rank", 2, None, "eq"), ("linear_growth_r2", 0.99, None, "ge"),
+         ("positive_slope", 0.0, None, "ge"), ("spectrum_invariance", 0.0, 1e-6, "abs")],
+        _PDE_VALUES + ["spectrum_invariance"], ["h1_sq_slope"]),
+    "gaussian": (
+        {},
+        [("momentum_drift", 0.0, 1e-8, "abs"), ("positive_slope", 0.0, None, "ge"),
+         ("verdict", "ExplodesStrict", None, "eq"), ("spectrum_invariance", 0.0, 1e-6, "abs")],
+        _PDE_VALUES + ["spectrum_invariance"], ["h1_sq_slope"]),
+    "baby": (
+        {},
+        # ||u0||^2 - eps^2 = 1 for u0 = e^{ix} + eps
+        [("l2_dips_by_eps_sq", 1.0, None, "le"), ("linearized_growth_rate", 0.0, 1e-10, "abs")],
+        _PDE_VALUES + ["min_l2_sq"], ["linearized_growth_rate"]),
+    "custom": ({}, [], _PDE_VALUES, []),
+    "kappa_fit": (
+        {"t_end": 50.0},
+        [("kappa_fit", (1.0 + _M_POLE**2) / (2.0 * _M_POLE), 0.05, "rel")],
+        ["kappa", "fitted"], ["gamma_times_t"]),
+    "stable_manifold": (
+        {},
+        [("beta_decay_rate", _STABLE.a + 1.0, 0.01, "rel"),
+         ("delta_beta_ratio", (_STABLE.a - 1.0) / (_STABLE.a + 1.0), 0.01, "rel"),
+         ("roundtrip_residual", 0.0, 1e-8, "abs")],
+        ["roundtrip_residual", "fp_iterations", "t_start"],
+        ["beta_decay_rate", "delta_beta_ratio"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_preset_gate_lists_are_pinned(tmp_path, preset):
+    extra, gates, value_keys, fit_names = _PRESET_GATES[preset]
+    small = {"grid_size": 1024, "t_end": 2.0, "spectrum_size": 128}
+    if preset in ("kappa_fit", "stable_manifold"):
+        small = {}
+    result = run_experiment(build_config(preset, {**small, **extra}), out_dir=tmp_path)
+    got = [(c["name"], c["target"], c["tol"], c["mode"]) for c in result.checks]
+    assert [(g[0], g[2], g[3]) for g in got] == [(g[0], g[2], g[3]) for g in gates]
+    for (_, target, _, _), (_, want, _, _) in zip(got, gates):
+        assert target == (want if isinstance(want, str) else pytest.approx(want, rel=1e-12))
+    assert list(result.values) == value_keys
+    fits = json.loads((tmp_path / "fit.json").read_text())
+    assert [f["name"] for f in fits] == fit_names
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [c["name"] for c in summary["checks"]] == [g[0] for g in gates]
 
 
 # --- artifact writing ---------------------------------------------------------
@@ -355,22 +416,71 @@ def test_cli_wode_trajectory(tmp_path):
     assert first[9] == pytest.approx(16.0 / 9.0, rel=1e-12)  # momentum
 
 
-def test_paper_horizon_restores_long_gaussian_run():
-    assert build_config("gaussian").t_end == 100.0
-    assert build_config("gaussian", {"paper_horizon": True}).t_end == 1000.0
-    # an explicit t_end wins over the flag
-    assert build_config("gaussian", {"paper_horizon": True, "t_end": 7.0}).t_end == 7.0
+def test_removed_knobs_are_rejected(tmp_path):
+    # t_end = 1000 replaces paper_horizon; every fit reads H^1, so there is no s_fit
+    for key in ("paper_horizon", "s_fit"):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_config_file(cfg_file)
+        assert err.value.field == key
+    for flag in ("--paper-horizon", "--s", "--jobs"):
+        with pytest.raises(SystemExit):
+            _simulate_parser().parse_args([flag, "2"])
 
 
-def test_cli_simulate_multiple_presets_parallel(tmp_path):
+def test_custom_run_fits_h1_beside_other_exponents(tmp_path):
+    overrides = {**small_custom_overrides(), "ic": "pole:0.3", "sobolev_exponents": (1.5,)}
+    result = run_experiment(build_config("custom", overrides), out_dir=tmp_path)
+    series = result.artifacts["diagnostics"]
+    assert set(series.hs_sq) == {1.0, 1.5}
+    header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
+    assert header.endswith(",hs_sq_1.00,hs_sq_1.50")
+    half = series.t >= 0.5 * series.t[-1]
+    slope, _ = np.polyfit(series.t[half], series.hs_sq[1.0][half], 1)
+    assert result.values["hs_slope"] == pytest.approx(slope, rel=1e-9)
+
+
+def test_two_poles_needs_a_later_snapshot():
+    for overrides in ({"t_end": 2.0}, {"snapshot_times": ()}):
+        with pytest.raises(ConfigError) as err:
+            build_config("two_poles", overrides)
+        assert err.value.field == "snapshot_times"
+    assert build_config("two_poles").later_snapshots() == (2.5, 5.0)
+
+
+def test_sobolev_exponents_below_half_are_rejected():
+    with pytest.raises(ConfigError) as err:
+        build_config("custom", {"sobolev_exponents": (0.2,)})
+    assert err.value.field == "sobolev_exponents"
+
+
+def test_cli_simulate_multiple_presets(tmp_path):
     out = tmp_path / "multi"
-    proc = run_cli("simulate", "--preset", "stable_manifold,kappa_fit",
-                   "--jobs", "2", "--out", str(out))
+    proc = run_cli("simulate", "--preset", "stable_manifold,kappa_fit", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "stable_manifold" / "stable_manifold.csv").exists()
     assert (out / "kappa_fit" / "trajectory.csv").exists()
     assert "PASS stable_manifold" in proc.stdout
     assert "PASS kappa_fit" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["wode", "--dt", "0"], "dt"),
+    (["wode", "--record-stride", "0"], "record_stride"),
+    (["wode", "--t-end", "0"], "t_end"),
+    (["stable-manifold", "--t-start", "0.5", "--t-end-back", "1"], "t_end_back"),
+    (["simulate", "--record-stride", "0"], "record_stride"),
+    (["simulate", "--krasny-threshold", "2"], "krasny_threshold"),
+    (["simulate", "--spectrum-size", "0"], "spectrum_size"),
+    (["simulate", "--ode-dt", "0"], "ode_dt"),
+])
+def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
+    proc = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert f"field {field!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_kappa_preset_trajectory_csv(tmp_path):
