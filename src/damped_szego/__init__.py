@@ -43,7 +43,6 @@ from .solver import (
     SolverResult,
     check_lyapunov,
     evolve,
-    krasny_filter,
     rhs,
     rk4_step,
 )

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: simulate, criterion, spectrum, wode, stable-manifold, verify.
-Each run writes CSV/JSON artifacts into --out and exits 0 iff every
-configured check passed.
+Subcommands: simulate (every preset, the stable manifold included),
+spectrum (the K_u^2 spectrum and explosion-criterion verdict of one state),
+wode and verify.  Each run writes CSV/JSON artifacts into --out and exits 0
+iff every configured check passed.
 """
 
 import argparse
@@ -15,14 +16,14 @@ from .initial_conditions import parse_initial_condition
 from .presets import (
     CONFIG_KEYS,
     PRESET_NAMES,
-    VERDICT_KEYS,
     build_config,
     load_config_file,
     run_experiment,
+    spectrum_files,
     spectrum_report,
     verify_identities,
 )
-from .reporting import spectrum_csv, w_trajectory_csv, write_json, write_text
+from .reporting import w_trajectory_csv, write_files
 from .wmanifold import (
     WState,
     asymptotic_constants,
@@ -56,13 +57,14 @@ def build_parser():
         if spec.flag:
             sim.add_argument(spec.flag, type=spec.kind, dest=key, help=spec.help)
 
-    crit = sub.add_parser("criterion", help="evaluate the explosion criterion for one state")
-    _add_state_args(crit)
-    crit.add_argument("--out", help="also write verdict.json here")
-
-    spect = sub.add_parser("spectrum", help="report the clustered spectrum of one state")
-    _add_state_args(spect)
-    spect.add_argument("--out", help="write spectrum.csv and spectrum.json here")
+    spect = sub.add_parser("spectrum", help="K_u^2 spectrum and explosion verdict of one state")
+    spect.add_argument("--ic", required=True, help="initial condition spec, e.g. blaschke:0.3")
+    spect.add_argument("--n", type=int, default=1024, help="grid size (even)")
+    spect.add_argument("--size", type=int, default=128, help="Gram truncation size")
+    spect.add_argument("--cluster-tol", type=float, dest="cluster_tol", default=1e-8)
+    spect.add_argument("--rank-cutoff", type=float, dest="rank_cutoff")
+    spect.add_argument("--tol", type=float, help="criterion equality tolerance")
+    spect.add_argument("--out", help="write spectrum.csv, spectrum.json and verdict.json here")
 
     wode = sub.add_parser("wode", help="integrate the rank-one (b, c, p) system")
     wode.add_argument("--b", type=_complex, default=0j)
@@ -75,29 +77,12 @@ def build_parser():
     wode.add_argument("--s", type=float, default=1.0, help="Sobolev exponent for the growth fit")
     wode.add_argument("--out", help="write trajectory.csv and fit.json here")
 
-    stab = sub.add_parser("stable-manifold", help="build a trajectory converging to the circle orbit")
-    stab.add_argument("--beta-inf", type=float, dest="beta_inf", default=1.0)
-    stab.add_argument("--alpha", type=float, default=1.0)
-    stab.add_argument("--m", type=float, default=1.0)
-    stab.add_argument("--t-start", type=float, dest="t_start")
-    stab.add_argument("--t-end-back", type=float, dest="t_end_back", default=0.0)
-    stab.add_argument("--out", help="write stable_manifold.csv and fit.json here")
-
     ver = sub.add_parser("verify", help="check every closed-form identity for (alpha, M)")
     ver.add_argument("--alpha", type=float, default=1.0)
     ver.add_argument("--m", type=float, default=1.0)
     ver.add_argument("--s", type=float, default=1.0)
 
     return parser
-
-
-def _add_state_args(cmd):
-    cmd.add_argument("--ic", required=True, help="initial condition spec, e.g. blaschke:0.3")
-    cmd.add_argument("--n", type=int, default=1024, help="grid size (even)")
-    cmd.add_argument("--size", type=int, default=128, help="Gram truncation size")
-    cmd.add_argument("--cluster-tol", type=float, dest="cluster_tol", default=1e-8)
-    cmd.add_argument("--rank-cutoff", type=float, dest="rank_cutoff")
-    cmd.add_argument("--tol", type=float, help="criterion equality tolerance")
 
 
 def _simulate_overrides(args) -> dict:
@@ -123,21 +108,9 @@ def _cmd_simulate(args):
     return 0 if all(results.values()) else 1
 
 
-def _cmd_criterion(args):
-    u = parse_initial_condition(args.ic, args.n)
-    _, _, summary = spectrum_report(
-        u, size=args.size, cluster_tol=args.cluster_tol,
-        rank_cutoff=args.rank_cutoff, tol=args.tol,
-    )
-    payload = {k: summary[k] for k in VERDICT_KEYS}
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_json(os.path.join(args.out, "verdict.json"), payload)
-    return 0
-
-
 def _cmd_spectrum(args):
+    if args.size < 1:
+        raise ConfigError("size must be >= 1", field="size")
     u = parse_initial_condition(args.ic, args.n)
     spec, _, summary = spectrum_report(
         u, size=args.size, cluster_tol=args.cluster_tol,
@@ -145,9 +118,7 @@ def _cmd_spectrum(args):
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "spectrum.csv"), spectrum_csv(spec))
-        write_json(os.path.join(args.out, "spectrum.json"), summary)
+        write_files(args.out, spectrum_files(spec, summary))
     return 0
 
 
@@ -155,6 +126,8 @@ def _cmd_wode(args):
     for name in ("dt", "t_end", "record_stride"):
         if getattr(args, name) <= 0:
             raise ConfigError(f"{name} must be positive", field=name)
+    if not args.alpha >= 0:
+        raise ConfigError("alpha must be >= 0", field="alpha")
     w0 = WState(b=args.b, c=args.c, p=args.p)
     traj = integrate_w(w0, args.alpha, args.dt, args.t_end, record_stride=args.record_stride)
     label = classify_w_run(traj)
@@ -170,24 +143,14 @@ def _cmd_wode(args):
     payload["fits"] = fits
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_text(os.path.join(args.out, "trajectory.csv"), w_trajectory_csv(traj))
-        write_json(os.path.join(args.out, "fit.json"), payload)
+        write_files(args.out, {"trajectory.csv": w_trajectory_csv(traj), "fit.json": payload})
     return 0
 
 
-def _cmd_stable(args):
-    cfg = build_config("stable_manifold", {
-        "alpha": args.alpha, "m": args.m, "beta_inf": args.beta_inf,
-        "t_start": args.t_start, "t_end_back": args.t_end_back,
-    })
-    result = run_experiment(cfg, out_dir=args.out)
-    print(json.dumps({"passed": result.passed, "checks": result.checks,
-                      "values": result.values}, indent=2, sort_keys=True))
-    return 0 if result.passed else 1
-
-
 def _cmd_verify(args):
+    for name in ("alpha", "m"):
+        if not getattr(args, name) > 0:
+            raise ConfigError(f"{name} must be positive", field=name)
     report = verify_identities(args.alpha, args.m, args.s)
     printable = dict(report)
     printable["lambda_plus"] = [report["lambda_plus"].real, report["lambda_plus"].imag]
@@ -201,10 +164,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
-        "criterion": _cmd_criterion,
         "spectrum": _cmd_spectrum,
         "wode": _cmd_wode,
-        "stable-manifold": _cmd_stable,
         "verify": _cmd_verify,
     }
     try:

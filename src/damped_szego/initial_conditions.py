@@ -86,13 +86,15 @@ def _parse_numbers(text):
 
 
 def parse_initial_condition(spec: str, n: int) -> HardyState:
-    """Build a state from a ``kind:args`` string.
+    """Build a state on a grid of ``n`` points (even, positive) from a ``kind:args`` string.
 
     Supported kinds: ``pole:p[,amplitude[,offset]]``, ``poles:p1,p2,...``,
     ``blaschke:p1[,p2,...]``, ``circle:c``, ``perturbed_circle:eps``,
     ``gaussian:width``, ``wstate:b,c,p`` (complex entries accepted, e.g.
     ``0.1+0.2j``).
     """
+    if not (n > 0 and n % 2 == 0):
+        raise ConfigError(f"grid size must be even and positive, got {n}", field="n")
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     args = _parse_numbers(rest)

@@ -1,7 +1,6 @@
 """Preset experiments, their pass/fail checks and artifact writing."""
 
 import math
-import os
 import time
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -18,8 +17,7 @@ from .reporting import (
     reduced_trajectory_csv,
     spectrum_csv,
     stable_trajectory_csv,
-    write_json,
-    write_text,
+    write_files,
 )
 from .solver import SolverConfig, check_lyapunov, evolve
 from .wmanifold import (
@@ -43,6 +41,7 @@ __all__ = [
     "build_config",
     "load_config_file",
     "run_experiment",
+    "spectrum_files",
     "spectrum_report",
     "verify_identities",
 ]
@@ -76,9 +75,13 @@ class ExperimentConfig:
         return tuple(t for t in self.snapshot_times if 0 < t <= self.t_end + 1e-12)
 
     def validate(self):
+        # These presets read the closed-form constants, which need alpha > 0.
+        closed_form = self.preset in ("single_pole", "baby", "kappa_fit", "stable_manifold")
         rules = {
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
-            "alpha": (self.alpha >= 0, "alpha must be >= 0"),
+            "alpha": (self.alpha > 0 or (self.alpha == 0 and not closed_form),
+                      "alpha must be positive" if closed_form else "alpha must be >= 0"),
+            "m": (self.m > 0, "m must be positive"),
             "dt": (self.dt > 0, "dt must be positive"),
             "t_end": (self.t_end > 0, "t_end must be positive"),
             "ode_dt": (self.ode_dt > 0, "ode_dt must be positive"),
@@ -132,8 +135,8 @@ CONFIG_KEYS = {
     "criterion_tol": ConfigKey(float),
     "snapshot_times": ConfigKey("floats"),
     "gamma0": ConfigKey(float),
-    "t_start": ConfigKey(float),
-    "t_end_back": ConfigKey(float),
+    "t_start": ConfigKey(float, "--t-start"),
+    "t_end_back": ConfigKey(float, "--t-end-back"),
 }
 
 
@@ -413,32 +416,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     return result
 
 
+def spectrum_files(spec, summary) -> dict:
+    """``spectrum.csv``, ``spectrum.json`` and ``verdict.json`` of one spectrum report."""
+    return {"spectrum.csv": spectrum_csv(spec), "spectrum.json": summary,
+            "verdict.json": {k: summary[k] for k in VERDICT_KEYS}}
+
+
 def _write_artifacts(cfg, result, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     art = result.artifacts
-    paths = {}
-
-    def emit(name, content):
-        path = os.path.join(out_dir, name)
-        (write_json if name.endswith(".json") else write_text)(path, content)
-        paths[name] = path
-
+    files = {}
     if "diagnostics" in art:
-        summary = art["spectrum_summary"]
-        emit("diagnostics.csv", diagnostics_csv(art["diagnostics"]))
-        emit("spectrum.csv", spectrum_csv(art["spectrum"]))
-        emit("spectrum.json", summary)
-        emit("verdict.json", {k: summary[k] for k in VERDICT_KEYS})
+        files["diagnostics.csv"] = diagnostics_csv(art["diagnostics"])
+        files.update(spectrum_files(art["spectrum"], art["spectrum_summary"]))
     if "trajectory" in art:
-        emit("trajectory.csv", reduced_trajectory_csv(art["trajectory"]))
+        files["trajectory.csv"] = reduced_trajectory_csv(art["trajectory"])
     if "stable" in art:
-        emit("stable_manifold.csv", stable_trajectory_csv(art["stable"]))
-    emit("fit.json", art.get("fits", []))
-    emit("summary.json", {"preset": result.preset, "passed": result.passed,
-                          "checks": result.checks, "values": result.values})
-    emit("meta.json", {"config": asdict(cfg), "versions": _versions(),
-                       "written_at_unix": time.time()})
-    result.artifacts = {**art, "paths": paths}
+        files["stable_manifold.csv"] = stable_trajectory_csv(art["stable"])
+    files["fit.json"] = art.get("fits", [])
+    files["summary.json"] = {"preset": result.preset, "passed": result.passed,
+                             "checks": result.checks, "values": result.values}
+    files["meta.json"] = {"config": asdict(cfg), "versions": _versions(),
+                          "written_at_unix": time.time()}
+    result.artifacts = {**art, "paths": write_files(out_dir, files)}
 
 
 def _versions():

@@ -6,6 +6,7 @@ bit-identical files.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "stable_trajectory_csv",
     "write_text",
     "write_json",
+    "write_files",
 ]
 
 
@@ -93,3 +95,17 @@ def write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
         json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_files(out_dir, files) -> dict:
+    """Write ``files``, a ``{name: content}`` dict, into ``out_dir``.
+
+    ``*.json`` contents go through :func:`write_json`, the rest through
+    :func:`write_text`.  Returns ``{name: path}``.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for name, content in files.items():
+        paths[name] = os.path.join(out_dir, name)
+        (write_json if name.endswith(".json") else write_text)(paths[name], content)
+    return paths

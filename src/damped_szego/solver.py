@@ -21,7 +21,6 @@ __all__ = [
     "SolverResult",
     "rhs",
     "rk4_step",
-    "krasny_filter",
     "evolve",
     "check_lyapunov",
 ]
@@ -189,16 +188,6 @@ def rk4_step(u: HardyState, alpha: float, dt: float, krasny_threshold: float = 0
         raise ValueError("dt must be positive")
     c = u.coeffs
     c, _ = _step(c, _extent(c), u.grid_size, alpha, dt, krasny_threshold, dt)
-    return HardyState(c, u.grid_size)
-
-
-def krasny_filter(u: HardyState, threshold: float) -> HardyState:
-    """Zero every coefficient with modulus below ``threshold``."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    if threshold == 0:
-        return u
-    c = np.where(np.abs(u.coeffs) < threshold, 0.0, u.coeffs)
     return HardyState(c, u.grid_size)
 
 

@@ -81,10 +81,6 @@ class ReducedState:
     gamma: float
     zeta: complex
 
-    def constraint_residual(self, m: float) -> float:
-        """|zeta|^2 - (M - gamma) * gamma^2 * beta, zero on the manifold."""
-        return abs(self.zeta) ** 2 - (m - self.gamma) * self.gamma**2 * self.beta
-
 
 @dataclass(frozen=True)
 class AsymptoticConstants:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -152,6 +153,8 @@ def test_simulate_flags_are_pinned():
         (("--m",), "m"),
         (("--beta-inf",), "beta_inf"),
         (("--ode-dt",), "ode_dt"),
+        (("--t-start",), "t_start"),
+        (("--t-end-back",), "t_end_back"),
     ]
 
 
@@ -329,13 +332,13 @@ def test_cli_criterion_verdicts():
         "circle:1.0": "Inconclusive",
     }
     for ic, expected in cases.items():
-        proc = run_cli("criterion", "--ic", ic, "--n", "512", "--size", "128")
+        proc = run_cli("spectrum", "--ic", ic, "--n", "512", "--size", "128")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verdict"] == expected
 
 
-def test_criterion_and_simulate_write_the_same_verdict(tmp_path):
-    proc = run_cli("criterion", "--ic", "pole:0.5", "--n", "256", "--size", "64",
+def test_spectrum_and_simulate_write_the_same_verdict(tmp_path):
+    proc = run_cli("spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64",
                    "--out", str(tmp_path / "a"))
     assert proc.returncode == 0, proc.stderr
     proc = run_cli("simulate", "--preset", "custom", "--ic", "pole:0.5", "--n", "256",
@@ -395,8 +398,8 @@ def test_cli_simulate_bad_config_exit_code(tmp_path):
 
 def test_cli_stable_manifold(tmp_path):
     out = tmp_path / "stab"
-    proc = run_cli("stable-manifold", "--beta-inf", "1.0", "--alpha", "1.0",
-                   "--m", "1.0", "--out", str(out))
+    proc = run_cli("simulate", "--preset", "stable_manifold", "--beta-inf", "1.0",
+                   "--alpha", "1.0", "--m", "1.0", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert (out / "stable_manifold.csv").exists()
     header = (out / "stable_manifold.csv").read_text().splitlines()[0]
@@ -469,11 +472,22 @@ def test_cli_simulate_multiple_presets(tmp_path):
     (["wode", "--dt", "0"], "dt"),
     (["wode", "--record-stride", "0"], "record_stride"),
     (["wode", "--t-end", "0"], "t_end"),
-    (["stable-manifold", "--t-start", "0.5", "--t-end-back", "1"], "t_end_back"),
+    (["simulate", "--preset", "stable_manifold", "--t-start", "0.5", "--t-end-back", "1"],
+     "t_end_back"),
     (["simulate", "--record-stride", "0"], "record_stride"),
     (["simulate", "--krasny-threshold", "2"], "krasny_threshold"),
     (["simulate", "--spectrum-size", "0"], "spectrum_size"),
     (["simulate", "--ode-dt", "0"], "ode_dt"),
+    # the closed-form constants need alpha > 0 and M > 0
+    (["simulate", "--preset", "kappa_fit", "--m", "0"], "m"),
+    (["simulate", "--preset", "baby", "--alpha", "0"], "alpha"),
+    (["simulate", "--preset", "single_pole", "--alpha", "0"], "alpha"),
+    (["simulate", "--preset", "stable_manifold", "--m", "-1"], "m"),
+    (["wode", "--alpha", "-1"], "alpha"),
+    # an odd or empty grid, an empty Gram matrix
+    (["spectrum", "--ic", "pole:0.5", "--n", "0"], "n"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "3"], "n"),
+    (["spectrum", "--ic", "pole:0.5", "--size", "0"], "size"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -481,6 +495,40 @@ def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     assert f"field {field!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--alpha", "0"], "alpha"),
+    (["--m", "0"], "m"),
+])
+def test_cli_verify_rejects_non_positive_alpha_and_m(argv, field):
+    proc = run_cli("verify", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert f"field {field!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_alpha_stays_valid_without_closed_forms():
+    for preset in ("custom", "gaussian", "two_poles"):
+        assert build_config(preset, {"alpha": 0.0}).alpha == 0.0
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```sh\n")[1:]
+    for block in blocks:
+        for line in block.split("```")[0].splitlines():
+            words = shlex.split(line.replace("$p", "single_pole"))
+            if words and words[0] == "damped-szego":
+                yield words[1:-1] if words[-1] == "&" else words[1:]
+
+
+def test_readme_commands_parse():
+    commands = list(_readme_commands())
+    assert {argv[0] for argv in commands} == {"simulate", "spectrum", "wode", "verify"}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_kappa_preset_trajectory_csv(tmp_path):

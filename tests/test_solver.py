@@ -16,7 +16,6 @@ from damped_szego.solver import (
     _nonlinear_coeffs,
     check_lyapunov,
     evolve,
-    krasny_filter,
     rhs,
     rk4_step,
 )
@@ -121,13 +120,16 @@ def test_rk4_halving_dt_gains_factor_16():
 
 
 def test_krasny_filter():
+    # the filter evolve runs: after the step, every mode below the threshold is zeroed
     u = mode_state([1.0, 1e-13, 1e-11], 16)
-    out = krasny_filter(u, 1e-12)
+    out = rk4_step(u, 1.0, 1e-3, krasny_threshold=1e-12)
     assert out.coeffs[1] == 0.0
-    assert out.coeffs[2] == 1e-11
-    untouched = krasny_filter(u, 0.0)
-    assert np.array_equal(untouched.coeffs, u.coeffs)
-    zero = krasny_filter(mode_state([0.0], 16), 1e-12)
+    assert abs(out.coeffs[2]) == pytest.approx(1e-11, rel=1e-2)
+    untouched = rk4_step(u, 1.0, 1e-3, krasny_threshold=0.0)
+    assert abs(untouched.coeffs[1]) == pytest.approx(1e-13, rel=1e-2)
+    kept = np.where(np.abs(untouched.coeffs) >= 1e-12, untouched.coeffs, 0.0)
+    assert np.allclose(out.coeffs, kept, rtol=0.0, atol=1e-15)
+    zero = rk4_step(mode_state([0.0], 16), 1.0, 1e-3, krasny_threshold=1e-12)
     assert np.max(np.abs(zero.coeffs)) == 0.0
 
 
