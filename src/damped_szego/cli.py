@@ -8,10 +8,9 @@ iff every configured check passed.
 
 import argparse
 import json
-import os
 import sys
 
-from .errors import ConfigError, SzegoError
+from .errors import ConfigError, SzegoError, require
 from .initial_conditions import parse_initial_condition
 from .presets import (
     CONFIG_KEYS,
@@ -48,9 +47,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # No abbreviations: the removed --s would otherwise mean --spectrum-size.
-    sim = sub.add_parser("simulate", help="run one or more preset experiments", allow_abbrev=False)
-    sim.add_argument("--preset", default="single_pole",
-                     help=f"comma-separated presets from {', '.join(PRESET_NAMES)}")
+    sim = sub.add_parser("simulate", help="run one preset experiment", allow_abbrev=False)
+    sim.add_argument("--preset", default="single_pole", help=f"one of {', '.join(PRESET_NAMES)}")
     sim.add_argument("--config", help="flat key = value configuration file")
     sim.add_argument("--out", default="out", help="output directory")
     for key, spec in CONFIG_KEYS.items():
@@ -96,21 +94,14 @@ def _simulate_overrides(args) -> dict:
 
 
 def _cmd_simulate(args):
-    overrides = _simulate_overrides(args)
-    names = [p.strip() for p in args.preset.split(",") if p.strip()]
-    configs = {name: build_config(name, overrides) for name in names}
-    results = {}
-    for name, cfg in configs.items():
-        out_dir = os.path.join(args.out, name) if len(names) > 1 else args.out
-        results[name] = run_experiment(cfg, out_dir=out_dir).passed
-    for name, ok in results.items():
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-    return 0 if all(results.values()) else 1
+    cfg = build_config(args.preset, _simulate_overrides(args))
+    ok = run_experiment(cfg, out_dir=args.out).passed
+    print(f"{'PASS' if ok else 'FAIL'} {args.preset}")
+    return 0 if ok else 1
 
 
 def _cmd_spectrum(args):
-    if args.size < 1:
-        raise ConfigError("size must be >= 1", field="size")
+    require({"size": (args.size >= 1, "size must be >= 1")})
     u = parse_initial_condition(args.ic, args.n)
     spec, _, summary = spectrum_report(
         u, size=args.size, cluster_tol=args.cluster_tol,
@@ -123,11 +114,15 @@ def _cmd_spectrum(args):
 
 
 def _cmd_wode(args):
-    for name in ("dt", "t_end", "record_stride"):
-        if getattr(args, name) <= 0:
-            raise ConfigError(f"{name} must be positive", field=name)
-    if not args.alpha >= 0:
-        raise ConfigError("alpha must be >= 0", field="alpha")
+    require({
+        "dt": (args.dt > 0, "dt must be positive"),
+        "t_end": (args.t_end > 0, "t_end must be positive"),
+        "record_stride": (args.record_stride > 0, "record_stride must be positive"),
+        "alpha": (args.alpha >= 0, "alpha must be >= 0"),
+        "s": (args.s > 0.5, "s must be > 1/2: the growth fit compares with t^(2s-1)"),
+        "p": (abs(args.p) < 1, "|p| must be < 1"),
+        "c": (args.c != 0, "c must be nonzero"),
+    })
     w0 = WState(b=args.b, c=args.c, p=args.p)
     traj = integrate_w(w0, args.alpha, args.dt, args.t_end, record_stride=args.record_stride)
     label = classify_w_run(traj)
@@ -148,9 +143,11 @@ def _cmd_wode(args):
 
 
 def _cmd_verify(args):
-    for name in ("alpha", "m"):
-        if not getattr(args, name) > 0:
-            raise ConfigError(f"{name} must be positive", field=name)
+    require({
+        "alpha": (args.alpha > 0, "alpha must be positive"),
+        "m": (args.m > 0, "m must be positive"),
+        "s": (args.s >= 0.5, "s must be >= 1/2"),
+    })
     report = verify_identities(args.alpha, args.m, args.s)
     printable = dict(report)
     printable["lambda_plus"] = [report["lambda_plus"].real, report["lambda_plus"].imag]

@@ -67,5 +67,12 @@ class ConfigError(SzegoError):
         super().__init__(message + loc)
 
 
+def require(rules):
+    """Raise a ConfigError naming the first field whose ``(ok, message)`` rule fails."""
+    for name, (ok, message) in rules.items():
+        if not ok:
+            raise ConfigError(message, field=name)
+
+
 class ResolutionLossWarning(UserWarning):
     """The highest retained Fourier mode is no longer negligible."""

@@ -109,7 +109,7 @@ def tail_mass(u: HardyState, size: int) -> float:
     return float(np.sum((k + 1) * np.abs(u.coeffs[size:]) ** 2))
 
 
-def eigenvalues(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, in descending order.
 
     The input must be Hermitian to within 1e-12 of its largest entry.

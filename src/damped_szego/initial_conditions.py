@@ -50,11 +50,11 @@ def perturbed_circle_state(eps: float, n: int) -> HardyState:
     return HardyState(coeffs, n)
 
 
-def blaschke_state(poles, n: int, phase: float = 0.0) -> HardyState:
+def blaschke_state(poles, n: int) -> HardyState:
     """Finite product of factors (e^{ix} - p_j)/(1 - conj(p_j) e^{ix}), sampled and projected."""
     x = grid_points(n)
     z = np.exp(1j * x)
-    values = np.full(n, np.exp(1j * phase), dtype=complex)
+    values = np.ones(n, dtype=complex)
     for p in poles:
         p = complex(p)
         if abs(p) >= 1:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -420,8 +421,9 @@ def test_cli_wode_trajectory(tmp_path):
 
 
 def test_removed_knobs_are_rejected(tmp_path):
-    # t_end = 1000 replaces paper_horizon; every fit reads H^1, so there is no s_fit
-    for key in ("paper_horizon", "s_fit"):
+    # t_end = 1000 replaces paper_horizon; every fit reads H^1, so there is no s_fit;
+    # spectrum --cluster-tol/--rank-cutoff/--tol set what the last three set
+    for key in ("paper_horizon", "s_fit", "cluster_tol", "rank_cutoff", "criterion_tol"):
         cfg_file = tmp_path / "old.cfg"
         cfg_file.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError) as err:
@@ -458,16 +460,6 @@ def test_sobolev_exponents_below_half_are_rejected():
     assert err.value.field == "sobolev_exponents"
 
 
-def test_cli_simulate_multiple_presets(tmp_path):
-    out = tmp_path / "multi"
-    proc = run_cli("simulate", "--preset", "stable_manifold,kappa_fit", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    assert (out / "stable_manifold" / "stable_manifold.csv").exists()
-    assert (out / "kappa_fit" / "trajectory.csv").exists()
-    assert "PASS stable_manifold" in proc.stdout
-    assert "PASS kappa_fit" in proc.stdout
-
-
 @pytest.mark.parametrize("argv, field", [
     (["wode", "--dt", "0"], "dt"),
     (["wode", "--record-stride", "0"], "record_stride"),
@@ -488,6 +480,20 @@ def test_cli_simulate_multiple_presets(tmp_path):
     (["spectrum", "--ic", "pole:0.5", "--n", "0"], "n"),
     (["spectrum", "--ic", "pole:0.5", "--n", "3"], "n"),
     (["spectrum", "--ic", "pole:0.5", "--size", "0"], "size"),
+    # one preset per run
+    (["simulate", "--preset", "stable_manifold,kappa_fit"], "preset"),
+    (["simulate", "--preset", ""], "preset"),
+    # the single_pole slope target needs positive momentum
+    (["simulate", "--preset", "single_pole", "--ic", "circle:0", "--n", "64",
+      "--t-end", "0.01"], "ic"),
+    # the Lyapunov residual needs three records
+    (["simulate", "--preset", "custom", "--n", "64", "--dt", "0.001", "--t-end", "0.01"],
+     "t_end"),
+    # the growth exponent 2s-1 must be positive; (b, c, p) must lie on the manifold
+    (["wode", "--s", "0.5"], "s"),
+    (["wode", "--s", "-1"], "s"),
+    (["wode", "--p", "1.0"], "p"),
+    (["wode", "--c", "0"], "c"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -500,6 +506,7 @@ def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
 @pytest.mark.parametrize("argv, field", [
     (["--alpha", "0"], "alpha"),
     (["--m", "0"], "m"),
+    (["--s", "-0.5"], "s"),
 ])
 def test_cli_verify_rejects_non_positive_alpha_and_m(argv, field):
     proc = run_cli("verify", *argv)
@@ -513,11 +520,13 @@ def test_zero_alpha_stays_valid_without_closed_forms():
         assert build_config(preset, {"alpha": 0.0}).alpha == 0.0
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return fh.read()
+
+
 def _readme_commands():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        blocks = fh.read().split("```sh\n")[1:]
-    for block in blocks:
+    for block in _readme().split("```sh\n")[1:]:
         for line in block.split("```")[0].splitlines():
             words = shlex.split(line.replace("$p", "single_pole"))
             if words and words[0] == "damped-szego":
@@ -531,6 +540,12 @@ def test_readme_commands_parse():
         build_parser().parse_args(argv)
 
 
+def test_readme_lists_every_config_key():
+    # the sentence "Keys: `preset`, `ic`, ..., `ode_dt`." under "Configuration files"
+    listed = re.findall(r"`(\w+)`", _readme().split("Keys: ", 1)[1].split(".", 1)[0])
+    assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
 def test_kappa_preset_trajectory_csv(tmp_path):
     cfg = build_config("kappa_fit", {"t_end": 2.0})
     result = run_experiment(cfg, out_dir=tmp_path)
@@ -542,7 +557,7 @@ def test_kappa_preset_trajectory_csv(tmp_path):
 
 def test_cli_surfaces_blow_up_with_time(tmp_path):
     proc = run_cli("simulate", "--preset", "custom", "--ic", "wstate:10,10,0",
-                   "--n", "64", "--dt", "10", "--t-end", "100",
+                   "--n", "64", "--dt", "10", "--t-end", "100", "--record-stride", "1",
                    "--out", str(tmp_path / "boom"))
     assert proc.returncode == 3
     assert "blew up at t=" in proc.stderr
