@@ -8,6 +8,7 @@ iff every configured check passed.
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import ConfigError, SzegoError, require
@@ -115,8 +116,8 @@ def _cmd_spectrum(args):
 
 def _cmd_wode(args):
     require({
-        "dt": (args.dt > 0, "dt must be positive"),
-        "t_end": (args.t_end > 0, "t_end must be positive"),
+        "dt": (0 < args.dt < math.inf, "dt must be positive and finite"),
+        "t_end": (0 < args.t_end < math.inf, "t_end must be positive and finite"),
         "record_stride": (args.record_stride > 0, "record_stride must be positive"),
         "alpha": (args.alpha >= 0, "alpha must be >= 0"),
         "s": (args.s > 0.5, "s must be > 1/2: the growth fit compares with t^(2s-1)"),

@@ -5,12 +5,22 @@ matrix A[n,m] = sum_k u_hat(n+k) conj(u_hat(m+k)); the shifted variant K_u
 uses the coefficients of S*u.  The alternating sum of the distinct
 eigenvalues of K_u^2 is the threshold the squared L2 norm is compared
 against to certify norm explosion.
+
+The Gram matrix is built from its Hankel structure.  With m = n + d,
+A[n, n+d] = sum_{j>=n} c(j) conj c(j+d) is a tail sum along the lag d.  The
+head products j < size fill a size x size block; one vector along d holds the
+sum of the terms j >= size.  A reverse cumulative sum over j, started from
+that vector, gives the upper triangle, so decaying data add their small
+terms first; the lower triangle is its conjugate mirror.  For K coefficients
+this takes O(size^2 + K size) work and O(size^2 + K) memory, and the result
+is exactly Hermitian with a real diagonal.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidMatrixError, TruncationError
 from .hardy import HardyState, inner_with_one, l2_norm_sq
@@ -80,13 +90,23 @@ class CriterionVerdict:
     verdict: Verdict
 
 
-def _gram(coeffs: np.ndarray, size: int) -> np.ndarray:
-    avail = coeffs.shape[0]
-    rows = np.zeros((size, max(avail, 1)), dtype=complex)
-    for n in range(min(size, avail)):
-        rows[n, : avail - n] = coeffs[n:]
-    a = rows @ rows.conj().T
-    return 0.5 * (a + a.conj().T)
+def _gram(c: np.ndarray, size: int) -> np.ndarray:
+    """A[n, m] = sum_{k>=0} c(n+k) conj c(m+k) for n, m < size (see the module docstring)."""
+    avail = c.shape[0]
+    pad = np.zeros(max(avail, size) + size - 1, dtype=complex)
+    pad[:avail] = c
+    lag = sliding_window_view(pad.conj(), size)  # lag[j, d] = conj c(j+d)
+    head = pad[:size, None] * lag[:size]
+    head[-1] += pad[size:avail] @ lag[size:avail]
+    tail = np.cumsum(head[::-1], axis=0)[::-1]
+    # The diagonal sums |c(j)|^2; a fused multiply-add may leave roundoff in its imaginary part.
+    tail[:, 0] = tail[:, 0].real
+    n, m = np.triu_indices(size)
+    upper = tail[n, m - n]
+    a = np.empty((size, size), dtype=complex)
+    a[m, n] = upper.conj()
+    a[n, m] = upper
+    return a
 
 
 def gram_h(u: HardyState, size: int) -> np.ndarray:

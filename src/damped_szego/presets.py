@@ -83,10 +83,10 @@ class ExperimentConfig:
             "alpha": (self.alpha > 0 or (self.alpha == 0 and not closed_form),
                       "alpha must be positive" if closed_form else "alpha must be >= 0"),
             "m": (self.m > 0, "m must be positive"),
-            "dt": (self.dt > 0, "dt must be positive"),
-            "t_end": (self.t_end > 0 and not pde_too_short, "t_end must be positive and, "
-                      "for a PDE preset, give more than record_stride steps of dt"),
-            "ode_dt": (self.ode_dt > 0, "ode_dt must be positive"),
+            "dt": (0 < self.dt < math.inf, "dt must be positive and finite"),
+            "t_end": (0 < self.t_end < math.inf and not pde_too_short, "t_end must be positive, "
+                      "finite and, for a PDE preset, give more than record_stride steps of dt"),
+            "ode_dt": (0 < self.ode_dt < math.inf, "ode_dt must be positive and finite"),
             "n": (self.grid_size > 0 and self.grid_size % 2 == 0, "n must be even and positive"),
             "record_stride": (self.record_stride >= 1, "record_stride must be >= 1"),
             "krasny_threshold": (0 <= self.krasny_threshold < 1,

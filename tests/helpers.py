@@ -34,6 +34,16 @@ def criterion(u: HardyState, size: int):
     return explosion_criterion(u, k_spectrum(u, size=size))
 
 
+def dense_gram(coeffs: np.ndarray, size: int) -> np.ndarray:
+    """Gram matrix as the product of the size x K shifted-row matrix with its adjoint."""
+    avail = coeffs.shape[0]
+    rows = np.zeros((size, max(avail, 1)), dtype=complex)
+    for n in range(min(size, avail)):
+        rows[n, : avail - n] = coeffs[n:]
+    a = rows @ rows.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
 def char_poly_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues via Faddeev-LeVerrier characteristic coefficients + roots.
 

@@ -494,6 +494,12 @@ def test_sobolev_exponents_below_half_are_rejected():
     (["wode", "--s", "-1"], "s"),
     (["wode", "--p", "1.0"], "p"),
     (["wode", "--c", "0"], "c"),
+    # a step count needs a finite time and step
+    (["simulate", "--preset", "custom", "--n", "64", "--t-end", "inf"], "t_end"),
+    (["simulate", "--preset", "custom", "--n", "64", "--dt", "inf"], "dt"),
+    (["simulate", "--preset", "kappa_fit", "--ode-dt", "inf"], "ode_dt"),
+    (["wode", "--t-end", "inf"], "t_end"),
+    (["wode", "--dt", "inf"], "dt"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))

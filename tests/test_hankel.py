@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from damped_szego import hankel
@@ -17,10 +17,16 @@ from damped_szego.hankel import (
     tail_mass,
 )
 from damped_szego.hardy import HardyState, l2_norm_sq, momentum
-from damped_szego.initial_conditions import blaschke_state, circle_state, pole_state
+from damped_szego.initial_conditions import (
+    blaschke_state,
+    circle_state,
+    parse_initial_condition,
+    pole_state,
+    poles_sum_state,
+)
 from damped_szego.presets import spectrum_report
 from damped_szego.wmanifold import WState, w_to_hardy
-from helpers import char_poly_eigenvalues, criterion, random_hermitian
+from helpers import char_poly_eigenvalues, criterion, dense_gram, random_hermitian
 
 
 def make_spectrum(values, mults=None):
@@ -79,6 +85,37 @@ def test_gram_size_validation():
         gram_h(u, 17)
     with pytest.raises(TruncationError):
         gram_k(u, 100)
+
+
+@st.composite
+def gram_inputs(draw):
+    """A state and a Gram size: random, zero, or geometric data whose tail
+    underflows into subnormal numbers."""
+    kind = draw(st.sampled_from(["random", "zero", "geometric"]))
+    if kind == "geometric":
+        p = draw(st.floats(0.3, 0.7)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        u = pole_state(p, 4096, offset=draw(st.floats(-1.0, 1.0)))
+        return u, draw(st.one_of(st.just(1), st.integers(1, 256)))
+    n = 2 * draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+    u = HardyState(coeffs if kind == "random" else 0 * coeffs, n)
+    return u, draw(st.one_of(st.just(1), st.just(u.n_modes), st.integers(1, u.n_modes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gram_inputs())
+@example((HardyState(np.zeros(8, complex), 16), 8))
+@example((pole_state(0.3, 4096), 1))
+@example((pole_state(0.7j, 4096), 256))
+def test_gram_matches_dense_product(case):
+    u, size = case
+    for gram, coeffs in ((gram_h, u.coeffs), (gram_k, u.coeffs[1:])):
+        a = gram(u, size)
+        want = dense_gram(coeffs, size)
+        assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(a, a.conj().T)
+        assert np.array_equal(a, gram(u, size))
 
 
 def test_tail_mass():
@@ -203,6 +240,30 @@ def test_criterion_circle_inconclusive():
 def test_criterion_zero_state():
     v = criterion(HardyState(np.zeros(64, complex), 128), size=16)
     assert v.verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("kind, u", [
+    ("poles", poles_sum_state([r * np.exp(1j * (0.3 + 2 * np.pi * i / 3))
+                               for i, r in enumerate((0.4, 0.55, 0.7))], 4096)),
+    ("pole", pole_state(0.6 * np.exp(1.1j), 4096, np.exp(2.0j), 0.5 * np.exp(-0.7j))),
+    ("blaschke", blaschke_state([0.3 * np.exp(0.4j), 0.6 * np.exp(-2.1j)], 4096)),
+])
+def test_spectrum_at_size_512_has_the_rank_and_trace_of_the_data(kind, u):
+    spec, verdict, summary = spectrum_report(u, size=512)
+    momentum, tail = summary["momentum"], summary["tail_mass"]
+    rank = int(spec.multiplicities.sum())
+    trace = float((spec.distinct_eigenvalues * spec.multiplicities).sum())
+    # Eigenvalues under the rank cutoff are dropped; each is below the cutoff.
+    assert abs(trace - momentum) <= tail + 512 * spec.rank_cutoff + 1e-9 * momentum
+    if kind == "poles":
+        assert rank == 3
+    if kind == "pole":
+        closed_form = 1.0 / (1.0 - 0.6**2) ** 2
+        assert momentum == pytest.approx(closed_form, rel=1e-9)
+        assert rank == 1
+        assert abs(spec.distinct_eigenvalues[0] - closed_form) <= 1e-9 * closed_form + tail
+    if kind == "blaschke":
+        assert verdict.verdict is Verdict.EXPLODES_EQUAL_CASE
 
 
 @pytest.mark.parametrize("ic", [pole_state(0.5, 512), blaschke_state([0.3, -0.6j], 512),
