@@ -34,6 +34,7 @@ from .hankel import (
     f_functional,
     gram_h,
     gram_k,
+    k_eigenvalues,
     k_spectrum,
     tail_mass,
 )

@@ -7,6 +7,7 @@ iff every configured check passed.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -102,7 +103,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_spectrum(args):
-    require({"size": (args.size >= 1, "size must be >= 1")})
+    require({
+        "size": (args.size >= 1, "size must be >= 1"),
+        "cluster_tol": (0 <= args.cluster_tol < math.inf, "cluster_tol must be finite and >= 0"),
+        "rank_cutoff": (args.rank_cutoff is None or 0 < args.rank_cutoff < math.inf,
+                        "rank_cutoff must be positive and finite"),
+        "tol": (args.tol is None or 0 <= args.tol < math.inf, "tol must be finite and >= 0"),
+    })
     u = parse_initial_condition(args.ic, args.n)
     spec, _, summary = spectrum_report(
         u, size=args.size, cluster_tol=args.cluster_tol,
@@ -121,8 +128,9 @@ def _cmd_wode(args):
         "record_stride": (args.record_stride > 0, "record_stride must be positive"),
         "alpha": (args.alpha >= 0, "alpha must be >= 0"),
         "s": (args.s > 0.5, "s must be > 1/2: the growth fit compares with t^(2s-1)"),
+        "b": (cmath.isfinite(args.b), "b must be finite"),
         "p": (abs(args.p) < 1, "|p| must be < 1"),
-        "c": (args.c != 0, "c must be nonzero"),
+        "c": (cmath.isfinite(args.c) and args.c != 0, "c must be finite and nonzero"),
     })
     w0 = WState(b=args.b, c=args.c, p=args.p)
     traj = integrate_w(w0, args.alpha, args.dt, args.t_end, record_stride=args.record_stride)

@@ -14,6 +14,18 @@ that vector, gives the upper triangle, so decaying data add their small
 terms first; the lower triangle is its conjugate mirror.  For K coefficients
 this takes O(size^2 + K size) work and O(size^2 + K) memory, and the result
 is exactly Hermitian with a real diagonal.
+
+The K_u^2 eigenvalues are computed on the Gram's numerical-rank block.  The
+Gram is R R^* for its rows R, and its diagonal d[n] = sum_{j>=n} |c(j)|^2
+decreases in n.  Keeping the k leading rows R_1, those whose trace tail
+sum_{m>=n} d[m] exceeds eps d[0] (eps the double-precision machine epsilon),
+changes the nonzero spectrum from that of R_1^* R_1 to that of
+R_1^* R_1 + R_2^* R_2.  The added matrix is positive semidefinite with norm
+at most its trace, the dropped tail, which is at most eps d[0] <= eps
+lambda_max.  By Weyl's inequality every eigenvalue of the full Gram lies
+between the block's (padded with zeros) and that plus the dropped trace, so
+it moves by no more than the backward error of eigvalsh on the full Gram:
+eigenvalues below eps lambda_max are roundoff in either computation.
 """
 
 from dataclasses import dataclass
@@ -32,6 +44,7 @@ __all__ = [
     "gram_h",
     "gram_k",
     "eigenvalues",
+    "k_eigenvalues",
     "k_spectrum",
     "f_functional",
     "explosion_criterion",
@@ -146,6 +159,22 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return w[::-1].copy()
 
 
+def k_eigenvalues(u: HardyState, size: int) -> np.ndarray:
+    """All ``size`` eigenvalues of K_u^2, in descending order.
+
+    ``eigvalsh`` runs on the leading block whose trailing rows carry more than
+    eps d[0] of the trace; the rest are zeros, sorted in among the block's
+    roundoff-negative eigenvalues (see the module docstring).
+    """
+    a = gram_k(u, size)
+    d = a.diagonal().real
+    tail = np.cumsum(d[::-1])[::-1]
+    k = int(np.count_nonzero(tail > np.finfo(float).eps * d[0]))
+    out = np.zeros(size)
+    out[:k] = eigenvalues(a[:k, :k])
+    return np.sort(out)[::-1]
+
+
 def k_spectrum(u: HardyState, size: int = DEFAULT_SIZE, cluster_tol: float = DEFAULT_CLUSTER_TOL,
                rank_cutoff: float = None) -> KSpectrum:
     """Clustered positive spectrum of K_u^2.
@@ -158,7 +187,7 @@ def k_spectrum(u: HardyState, size: int = DEFAULT_SIZE, cluster_tol: float = DEF
     degenerate.
     """
     size = min(size, u.n_modes)
-    evals = eigenvalues(gram_k(u, size))
+    evals = k_eigenvalues(u, size)
     top = float(evals[0]) if evals.shape[0] else 0.0
     if rank_cutoff is None:
         rank_cutoff = DEFAULT_RANK_CUTOFF_REL * top if top > 0 else _ZERO_RANK_CUTOFF

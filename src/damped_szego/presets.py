@@ -94,9 +94,12 @@ class ExperimentConfig:
             "spectrum_size": (self.spectrum_size >= 1, "spectrum_size must be >= 1"),
             "sobolev_exponents": (min(self.sobolev_exponents, default=1.0) >= 0.5,
                                   "Sobolev exponents must be >= 1/2"),
-            "beta_inf": (self.beta_inf > 0, "beta_inf must be positive"),
-            "t_end_back": (self.t_start is None or self.t_end_back < self.t_start,
-                           "t_end_back must be smaller than t_start"),
+            "beta_inf": (0 < self.beta_inf < math.inf, "beta_inf must be positive and finite"),
+            "t_start": (self.t_start is None or math.isfinite(self.t_start),
+                        "t_start must be finite"),
+            "t_end_back": (math.isfinite(self.t_end_back)
+                           and (self.t_start is None or self.t_end_back < self.t_start),
+                           "t_end_back must be finite and smaller than t_start"),
             # The K_u^2 invariance gate compares u(0) with these snapshots only.
             "snapshot_times": (self.preset != "two_poles" or self.later_snapshots(),
                                "two_poles needs a snapshot time in (0, t_end]"),
@@ -233,7 +236,7 @@ def _fit_entry(name, target, fitted, window):
 
 
 def _top_eigenvalues(state, size, count):
-    evals = hankel.eigenvalues(hankel.gram_k(state, min(size, state.n_modes)))
+    evals = hankel.k_eigenvalues(state, min(size, state.n_modes))
     out = np.zeros(count)
     out[: min(count, evals.shape[0])] = evals[:count]
     return out

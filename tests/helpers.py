@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from damped_szego.hankel import explosion_criterion, k_spectrum
+from damped_szego.hankel import eigenvalues, explosion_criterion, gram_k, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
 from damped_szego.wmanifold import linearization_matrix, reduced_rhs, w_rhs
 
@@ -42,6 +42,11 @@ def dense_gram(coeffs: np.ndarray, size: int) -> np.ndarray:
         rows[n, : avail - n] = coeffs[n:]
     a = rows @ rows.conj().T
     return 0.5 * (a + a.conj().T)
+
+
+def full_k_eigenvalues(u: HardyState, size: int) -> np.ndarray:
+    """All eigenvalues of K_u^2 from eigvalsh on the whole size x size Gram."""
+    return eigenvalues(gram_k(u, size))
 
 
 def char_poly_eigenvalues(m: np.ndarray) -> np.ndarray:

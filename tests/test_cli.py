@@ -500,6 +500,36 @@ def test_sobolev_exponents_below_half_are_rejected():
     (["simulate", "--preset", "kappa_fit", "--ode-dt", "inf"], "ode_dt"),
     (["wode", "--t-end", "inf"], "t_end"),
     (["wode", "--dt", "inf"], "dt"),
+    # (b, c, p) must be finite
+    (["wode", "--b", "inf"], "b"),
+    (["wode", "--b", "nan"], "b"),
+    (["wode", "--c", "nan"], "c"),
+    (["wode", "--c", "inf"], "c"),
+    (["wode", "--p", "nan"], "p"),
+    (["wode", "--p", "inf"], "p"),
+    # the stable manifold needs a finite beta_inf and matching time
+    (["simulate", "--preset", "stable_manifold", "--beta-inf", "inf"], "beta_inf"),
+    (["simulate", "--preset", "stable_manifold", "--t-start", "inf"], "t_start"),
+    (["simulate", "--preset", "stable_manifold", "--t-end-back", "nan"], "t_end_back"),
+    (["simulate", "--preset", "stable_manifold", "--t-end-back=-inf"], "t_end_back"),
+    # spectrum tolerances: a positive finite rank cutoff, finite non-negative tolerances
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "nan"],
+     "rank_cutoff"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "0"],
+     "rank_cutoff"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "-1"],
+     "rank_cutoff"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "inf"],
+     "rank_cutoff"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--cluster-tol", "nan"],
+     "cluster_tol"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--cluster-tol", "inf"],
+     "cluster_tol"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--cluster-tol", "-1"],
+     "cluster_tol"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "nan"], "tol"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "inf"], "tol"),
+    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "-1"], "tol"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))

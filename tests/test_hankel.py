@@ -13,6 +13,7 @@ from damped_szego.hankel import (
     f_functional,
     gram_h,
     gram_k,
+    k_eigenvalues,
     k_spectrum,
     tail_mass,
 )
@@ -20,13 +21,20 @@ from damped_szego.hardy import HardyState, l2_norm_sq, momentum
 from damped_szego.initial_conditions import (
     blaschke_state,
     circle_state,
+    gaussian_state,
     parse_initial_condition,
     pole_state,
     poles_sum_state,
 )
 from damped_szego.presets import spectrum_report
 from damped_szego.wmanifold import WState, w_to_hardy
-from helpers import char_poly_eigenvalues, criterion, dense_gram, random_hermitian
+from helpers import (
+    char_poly_eigenvalues,
+    criterion,
+    dense_gram,
+    full_k_eigenvalues,
+    random_hermitian,
+)
 
 
 def make_spectrum(values, mults=None):
@@ -165,6 +173,101 @@ def test_gram_k_single_pole_eigenvalue():
     assert abs(evals[1]) < 1e-12
 
 
+# --- K_u^2 eigenvalues on the numerical-rank block -------------------------
+
+def _kept_rows(u, size):
+    """The rows kept, those whose trace tail sum_{m>=n} d[m] of the K_u^2
+    Gram diagonal d exceeds eps d[0], and that tail for n < size."""
+    d = gram_k(u, size).diagonal().real
+    tail = np.cumsum(d[::-1])[::-1]
+    return int(np.count_nonzero(tail > np.finfo(float).eps * d[0])), tail
+
+
+@st.composite
+def k_states(draw):
+    """Pole, pole-sum, Blaschke and gaussian states (N <= 4096) or random
+    coefficients, with a Gram size <= 512."""
+    kind = draw(st.sampled_from(["pole", "poles", "blaschke", "gaussian", "random"]))
+    n = 2 ** draw(st.integers(7, 12))
+    radius = st.floats(0.05, 0.75)
+    phase = st.floats(0.0, 2 * np.pi)
+    if kind == "pole":
+        u = pole_state(draw(radius) * np.exp(1j * draw(phase)), n,
+                       amplitude=draw(st.floats(0.1, 3.0)), offset=draw(st.floats(-1.0, 1.0)))
+    elif kind in ("poles", "blaschke"):
+        ps = [draw(radius) * np.exp(1j * draw(phase)) for _ in range(draw(st.integers(1, 3)))]
+        u = (poles_sum_state if kind == "poles" else blaschke_state)(ps, n)
+    elif kind == "gaussian":
+        u = gaussian_state(draw(st.floats(3.0, 12.0)), n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        decay = draw(st.floats(0.0, 0.5))
+        k = np.arange(n // 2)
+        u = HardyState((rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2))
+                       * np.exp(-decay * k), n)
+    return u, draw(st.integers(1, min(512, u.n_modes)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_states())
+@example((pole_state(0.5, 4096), 512))
+@example((blaschke_state([0.3, 0.6j], 4096), 512))
+@example((gaussian_state(9.0, 4096), 512))
+@example((HardyState(np.zeros(16, complex), 32), 8))
+def test_k_eigenvalues_match_the_full_gram(case):
+    u, size = case
+    got = k_eigenvalues(u, size)
+    want = full_k_eigenvalues(u, size)
+    assert got.shape == (size,)
+    assert np.all(np.diff(got) <= 0)
+    # For the zero state both are zeros.
+    assert np.max(np.abs(got - want)) <= 1e-14 * want[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k_states(), st.floats(0.0, 1.0))
+def test_block_eigenvalues_sandwich_the_full_gram(case, share):
+    """Weyl: the leading k x k block's eigenvalues, padded with zeros, lie
+    below the full Gram's and at most the dropped trace above them."""
+    u, size = case
+    eps_k, tail = _kept_rows(u, size)
+    want = full_k_eigenvalues(u, size)
+    slack = 1e-14 * want[0]
+    for k in (max(1, int(share * size)), eps_k):
+        block = np.zeros(size)
+        block[:k] = eigenvalues(gram_k(u, size)[:k, :k])
+        block = np.sort(block)[::-1]
+        dropped = tail[k] if k < size else 0.0
+        assert np.all(block <= want + slack)
+        assert np.all(want <= block + dropped + slack)
+    # The last block is the one k_eigenvalues keeps.
+    assert np.array_equal(k_eigenvalues(u, size), block)
+
+
+@pytest.mark.parametrize("seed, n, size", [(0, 64, 8), (1, 256, 64), (2, 1024, 128)])
+def test_k_eigenvalues_equal_the_full_gram_when_nothing_is_dropped(seed, n, size):
+    rng = np.random.default_rng(seed)
+    u = HardyState(rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2), n)
+    assert _kept_rows(u, size)[0] == size
+    assert np.array_equal(k_eigenvalues(u, size), full_k_eigenvalues(u, size))
+
+
+@pytest.mark.parametrize("size", [1, 128, 512])
+def test_k_spectrum_builds_the_gram_at_the_requested_size(monkeypatch, size):
+    shapes = []
+    original = hankel.gram_k
+
+    def spy(u, n):
+        a = original(u, n)
+        shapes.append(a.shape)
+        return a
+
+    monkeypatch.setattr(hankel, "gram_k", spy)
+    k_spectrum(pole_state(0.5, 4096), size=size)
+    spectrum_report(blaschke_state([0.3], 4096), size=size)
+    assert shapes == [(size, size)] * 2
+
+
 # --- clustered spectrum ----------------------------------------------------
 
 def test_k_spectrum_circle():
@@ -242,12 +345,17 @@ def test_criterion_zero_state():
     assert v.verdict is Verdict.INCONCLUSIVE
 
 
-@pytest.mark.parametrize("kind, u", [
+# The benchmark's four kinds of criterion state at N = 4096.
+SIZE_512_STATES = [
     ("poles", poles_sum_state([r * np.exp(1j * (0.3 + 2 * np.pi * i / 3))
                                for i, r in enumerate((0.4, 0.55, 0.7))], 4096)),
     ("pole", pole_state(0.6 * np.exp(1.1j), 4096, np.exp(2.0j), 0.5 * np.exp(-0.7j))),
     ("blaschke", blaschke_state([0.3 * np.exp(0.4j), 0.6 * np.exp(-2.1j)], 4096)),
-])
+    ("gaussian", gaussian_state(7.5, 4096)),
+]
+
+
+@pytest.mark.parametrize("kind, u", SIZE_512_STATES)
 def test_spectrum_at_size_512_has_the_rank_and_trace_of_the_data(kind, u):
     spec, verdict, summary = spectrum_report(u, size=512)
     momentum, tail = summary["momentum"], summary["tail_mass"]
@@ -264,6 +372,18 @@ def test_spectrum_at_size_512_has_the_rank_and_trace_of_the_data(kind, u):
         assert abs(spec.distinct_eigenvalues[0] - closed_form) <= 1e-9 * closed_form + tail
     if kind == "blaschke":
         assert verdict.verdict is Verdict.EXPLODES_EQUAL_CASE
+
+
+@pytest.mark.parametrize("kind, u", SIZE_512_STATES)
+def test_spectrum_report_at_size_512_matches_the_full_gram(monkeypatch, kind, u):
+    spec, verdict, summary = spectrum_report(u, size=512)
+    monkeypatch.setattr(hankel, "k_eigenvalues", full_k_eigenvalues)
+    full_spec, full_verdict, full_summary = spectrum_report(u, size=512)
+    top = full_spec.distinct_eigenvalues[0]
+    assert np.array_equal(spec.multiplicities, full_spec.multiplicities)
+    assert np.max(np.abs(spec.distinct_eigenvalues - full_spec.distinct_eigenvalues)) <= 1e-14 * top
+    assert verdict.verdict is full_verdict.verdict
+    assert summary["degenerate_clusters"] == full_summary["degenerate_clusters"]
 
 
 @pytest.mark.parametrize("ic", [pole_state(0.5, 512), blaschke_state([0.3, -0.6j], 512),
