@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -72,17 +73,20 @@ class ExperimentConfig:
         return tuple(t for t in self.snapshot_times if 0 < t <= self.t_end + 1e-12)
 
     def validate(self):
-        # These presets read the closed-form constants, which need alpha > 0.
-        closed_form = self.preset in ("single_pole", "baby", "kappa_fit", "stable_manifold")
+        row = _PRESETS.get(self.preset, Preset(None, {}))
         # check_lyapunov needs three records: u(0), the one at record_stride and the last.
         steps = self.t_end / self.dt if self.dt > 0 else math.nan
-        pde_too_short = (_PRESETS.get(self.preset, (None,))[0] is _run_pde
+        pde_too_short = (row.run is _run_pde
                          and math.isfinite(steps) and round(steps) <= self.record_stride)
         require({
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
-            "alpha": (self.alpha > 0 or (self.alpha == 0 and not closed_form),
-                      "alpha must be positive" if closed_form else "alpha must be >= 0"),
-            "m": (self.m > 0, "m must be positive"),
+            "alpha": (0 < self.alpha < math.inf or (self.alpha == 0 and not row.closed_form),
+                      "alpha must be positive and finite" if row.closed_form
+                      else "alpha must be finite and >= 0"),
+            "m": (0 < self.m < math.inf, "m must be positive and finite"),
+            # gamma = M (1 - |p|^2) lies in (0, M].
+            "gamma0": (self.gamma0 is None or 0 < self.gamma0 <= self.m,
+                       "gamma0 must lie in (0, m]"),
             "dt": (0 < self.dt < math.inf, "dt must be positive and finite"),
             "t_end": (0 < self.t_end < math.inf and not pde_too_short, "t_end must be positive, "
                       "finite and, for a PDE preset, give more than record_stride steps of dt"),
@@ -92,8 +96,8 @@ class ExperimentConfig:
             "krasny_threshold": (0 <= self.krasny_threshold < 1,
                                  "krasny_threshold must lie in [0, 1)"),
             "spectrum_size": (self.spectrum_size >= 1, "spectrum_size must be >= 1"),
-            "sobolev_exponents": (min(self.sobolev_exponents, default=1.0) >= 0.5,
-                                  "Sobolev exponents must be >= 1/2"),
+            "sobolev_exponents": (all(0.5 <= s < math.inf for s in self.sobolev_exponents),
+                                  "Sobolev exponents must be finite and >= 1/2"),
             "beta_inf": (0 < self.beta_inf < math.inf, "beta_inf must be positive and finite"),
             "t_start": (self.t_start is None or math.isfinite(self.t_start),
                         "t_start must be finite"),
@@ -101,8 +105,8 @@ class ExperimentConfig:
                            and (self.t_start is None or self.t_end_back < self.t_start),
                            "t_end_back must be finite and smaller than t_start"),
             # The K_u^2 invariance gate compares u(0) with these snapshots only.
-            "snapshot_times": (self.preset != "two_poles" or self.later_snapshots(),
-                               "two_poles needs a snapshot time in (0, t_end]"),
+            "snapshot_times": (not row.needs_snapshot or self.later_snapshots(),
+                               f"{self.preset} needs a snapshot time in (0, t_end]"),
         })
         return self
 
@@ -176,7 +180,7 @@ def build_config(preset: str, overrides: dict = None) -> ExperimentConfig:
     if named is not None and named != preset:
         raise ConfigError(f"overrides name preset {named!r}, but {preset!r} is being built",
                           field="preset")
-    values = {**_PRESETS[preset][1], "preset": preset}
+    values = {**_PRESETS[preset].defaults, "preset": preset}
     values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return ExperimentConfig(**values).validate()
 
@@ -235,34 +239,13 @@ def _fit_entry(name, target, fitted, window):
             "window": list(window)}
 
 
-def _top_eigenvalues(state, size, count):
-    evals = hankel.k_eigenvalues(state, min(size, state.n_modes))
-    out = np.zeros(count)
-    out[: min(count, evals.shape[0])] = evals[:count]
-    return out
-
-
-def _spectrum_drift(base_state, states, size):
-    """Worst change of the top-5 K_u^2 eigenvalues from those of ``base_state``.
-
-    Measured over ``states`` and relative to the top eigenvalue of ``base_state``.
-    """
-    base = _top_eigenvalues(base_state, size, 5)
-    worst = 0.0
-    for state in states:
-        evals = _top_eigenvalues(state, size, 5)
-        worst = max(worst, float(np.max(np.abs(evals - base)) / base[0]))
-    return worst
-
-
 def _run_pde(cfg: ExperimentConfig):
+    row = _PRESETS[cfg.preset]
     u0 = parse_initial_condition(cfg.ic, cfg.grid_size)
-    slope_target = None
-    if cfg.preset == "single_pole":
-        # The slope target reads the momentum of u(0), which validate cannot see.
-        m0 = hardy_momentum(u0)
-        require({"ic": (m0 > 0, "single_pole needs initial data with positive momentum")})
-        slope_target = asymptotic_constants(cfg.alpha, m0).growth_coeff(1.0)
+    m0 = hardy_momentum(u0)
+    # The closed-form constants read the momentum of u(0), which validate cannot see.
+    require({"ic": (m0 > 0 or not row.closed_form,
+                    f"{cfg.preset} needs initial data with positive momentum")})
     solver_cfg = SolverConfig(
         alpha=cfg.alpha,
         dt=cfg.dt,
@@ -279,83 +262,97 @@ def _run_pde(cfg: ExperimentConfig):
 
     mom0 = series.momentum[0]
     drift = float(np.max(np.abs(series.momentum - mom0)) / abs(mom0)) if mom0 else 0.0
-    lyap = check_lyapunov(series, cfg.alpha)
 
     # Every gate and fit reads the squared H^1 norm.
     hs = series.hs_sq[1.0]
     half = series.t >= 0.5 * series.t[-1]
     slope, intercept = linear_fit(series.t[half], hs[half])
-    r2 = r_squared(series.t[half], hs[half], slope, intercept)
-    window = (float(series.t[half][0]), float(series.t[-1]))
 
     values = {
         "momentum_drift": drift,
-        "lyapunov_residual": lyap,
+        "lyapunov_residual": check_lyapunov(series, cfg.alpha),
         "verdict": verdict.verdict.value,
         "resolution_loss": result.resolution_loss,
         "hs_slope": slope,
-        "hs_fit_r2": r2,
+        "hs_fit_r2": r_squared(series.t[half], hs[half], slope, intercept),
     }
-    if cfg.preset in ("two_poles", "gaussian"):
-        later = [s for _, s in result.snapshots] if cfg.preset == "two_poles" else [result.u_final]
-        values["spectrum_invariance"] = _spectrum_drift(u0, later, cfg.spectrum_size)
-    invariance = ("spectrum_invariance", values.get("spectrum_invariance"), 0.0, 1e-6)
-    explodes = ("verdict", verdict.verdict.value, "ExplodesStrict", None, "eq")
-    positive_slope = ("positive_slope", slope, 0.0, None, "ge")
-
-    fits = []
-    if cfg.preset == "single_pole":
-        gates = [("h1_slope_vs_prediction", slope, slope_target, 0.05, "rel"),
-                 ("momentum_drift", drift, 0.0, 1e-9),
-                 ("lyapunov_residual", lyap, 0.0, 1e-5), explodes]
-    elif cfg.preset == "two_poles":
-        gates = [("k_rank", len(spec), 2, None, "eq"), ("linear_growth_r2", r2, 0.99, None, "ge"),
-                 positive_slope, invariance]
-    elif cfg.preset == "gaussian":
-        # H^s -> infinity is proved for ExplodesStrict data, but no rate is: the
-        # squared H^1 norm beats around its trend, so R^2 is reported, not gated.
-        gates = [("momentum_drift", drift, 0.0, 1e-8), positive_slope, explodes, invariance]
-    elif cfg.preset == "baby":
-        eps = abs(u0.coeffs[0])
-        values["min_l2_sq"] = float(series.l2_sq.min())
-        rate_target = 0.5 * (asymptotic_constants(cfg.alpha, cfg.m).a - cfg.alpha)
-        rate = _linearized_growth_rate(cfg.alpha, cfg.m)
-        fits = [_fit_entry("linearized_growth_rate", rate_target, rate, (30.0, 40.0))]
-        gates = [("l2_dips_by_eps_sq", values["min_l2_sq"], float(series.l2_sq[0] - eps**2),
-                  None, "le"),
-                 ("linearized_growth_rate", abs(rate - rate_target), 0.0, 1e-10)]
-    else:
-        gates = []
-    if cfg.preset in ("single_pole", "two_poles", "gaussian"):
-        target = slope if slope_target is None else slope_target
-        fits = [_fit_entry("h1_sq_slope", target, slope, window)]
-
+    window = (float(series.t[half][0]), float(series.t[-1]))
+    gates, fits = row.gates(PdeRun(cfg, u0, m0, result, spec, values, window))
     return gates, values, {
         "diagnostics": series,
         "spectrum": spec,
         "spectrum_summary": summary,
-        "verdict": verdict,
         "fits": fits,
         "result": result,
     }
 
 
-def _linearized_growth_rate(alpha, m):
-    q0_0 = 1.0 + 0j
-    dq0_0 = -(alpha + 1j * m)
+# What a PDE preset's gate function reads.  It returns the preset's gate
+# tuples and fit.json entries, and adds its own keys to ``values``.
+PdeRun = namedtuple("PdeRun", "cfg u0 m0 result spec values window")
+
+
+def _invariance_gate(run, later):
+    """Gate the worst change of the top-5 K_u^2 eigenvalues from u(0) to the ``later``
+    states, relative to the top eigenvalue of u(0); the change joins ``values``."""
+    top = np.zeros((1 + len(later), 5))
+    for evals, state in zip(top, [run.u0, *later]):
+        k_evals = hankel.k_eigenvalues(state, min(run.cfg.spectrum_size, state.n_modes))[:5]
+        evals[: k_evals.shape[0]] = k_evals
+    run.values["spectrum_invariance"] = float(np.max(np.abs(top[1:] - top[0])) / top[0, 0])
+    return ("spectrum_invariance", run.values["spectrum_invariance"], 0.0, 1e-6)
+
+
+def _single_pole_gates(run):
+    v = run.values
+    target = asymptotic_constants(run.cfg.alpha, run.m0).growth_coeff(1.0)
+    return ([("h1_slope_vs_prediction", v["hs_slope"], target, 0.05, "rel"),
+             ("momentum_drift", v["momentum_drift"], 0.0, 1e-9),
+             ("lyapunov_residual", v["lyapunov_residual"], 0.0, 1e-5),
+             ("verdict", v["verdict"], "ExplodesStrict", None, "eq")],
+            [_fit_entry("h1_sq_slope", target, v["hs_slope"], run.window)])
+
+
+def _two_poles_gates(run):
+    v = run.values
+    return ([("k_rank", len(run.spec), 2, None, "eq"),
+             ("linear_growth_r2", v["hs_fit_r2"], 0.99, None, "ge"),
+             ("positive_slope", v["hs_slope"], 0.0, None, "ge"),
+             _invariance_gate(run, [s for _, s in run.result.snapshots])],
+            [_fit_entry("h1_sq_slope", v["hs_slope"], v["hs_slope"], run.window)])
+
+
+def _gaussian_gates(run):
+    # H^s -> infinity is proved for ExplodesStrict data, but no rate is: the
+    # squared H^1 norm beats around its trend, so R^2 is reported, not gated.
+    v = run.values
+    return ([("momentum_drift", v["momentum_drift"], 0.0, 1e-8),
+             ("positive_slope", v["hs_slope"], 0.0, None, "ge"),
+             ("verdict", v["verdict"], "ExplodesStrict", None, "eq"),
+             _invariance_gate(run, [run.result.u_final])],
+            [_fit_entry("h1_sq_slope", v["hs_slope"], v["hs_slope"], run.window)])
+
+
+def _baby_gates(run):
+    alpha, m0, l2_sq = run.cfg.alpha, run.m0, run.result.diagnostics.l2_sq
+    run.values["min_l2_sq"] = float(l2_sq.min())
+    # The log-slope on [30, 40] of the linearised q0 with q0(0) = 1, q0'(0) = -(alpha + iM).
     lo, hi = 30.0, 40.0
-    qa = linearized_q0(alpha, m, q0_0, dq0_0, lo)
-    qb = linearized_q0(alpha, m, q0_0, dq0_0, hi)
-    return (math.log(abs(qb)) - math.log(abs(qa))) / (hi - lo)
+    qa, qb = (linearized_q0(alpha, m0, 1.0 + 0j, -(alpha + 1j * m0), t) for t in (lo, hi))
+    rate = (math.log(abs(qb)) - math.log(abs(qa))) / (hi - lo)
+    target = 0.5 * (asymptotic_constants(alpha, m0).a - alpha)
+    return ([("l2_dips_by_eps_sq", run.values["min_l2_sq"],
+              float(l2_sq[0] - abs(run.u0.coeffs[0]) ** 2), None, "le"),
+             ("linearized_growth_rate", abs(rate - target), 0.0, 1e-10)],
+            [_fit_entry("linearized_growth_rate", target, rate, (lo, hi))])
 
 
 def _run_kappa(cfg: ExperimentConfig):
-    m = cfg.m
-    gamma0 = cfg.gamma0 if cfg.gamma0 is not None else 0.75 * m
+    gamma0 = cfg.gamma0 if cfg.gamma0 is not None else 0.75 * cfg.m
     r0 = ReducedState(beta=0.0, gamma=gamma0, zeta=0j)
     stride = max(1, int(round(0.1 / cfg.ode_dt)))
-    traj = integrate_reduced(r0, cfg.alpha, m, cfg.ode_dt, cfg.t_end, record_stride=stride)
-    kappa = asymptotic_constants(cfg.alpha, m).kappa
+    traj = integrate_reduced(r0, cfg.alpha, cfg.m, cfg.ode_dt, cfg.t_end, record_stride=stride)
+    kappa = asymptotic_constants(cfg.alpha, cfg.m).kappa
     window = (0.5 * cfg.t_end, cfg.t_end)
     fitted = gamma_tail_fit(traj, window=window)
     return ([("kappa_fit", fitted, kappa, 0.05, "rel")], {"kappa": kappa, "fitted": fitted},
@@ -367,8 +364,8 @@ def _run_stable(cfg: ExperimentConfig):
     result = stable_manifold_trajectory(
         cfg.beta_inf, cfg.alpha, cfg.m, t_start=cfg.t_start, t_end_back=cfg.t_end_back,
     )
-    rate = beta_decay_rate(result)
-    ratio = delta_beta_ratio(result)
+    rate, rate_window = beta_decay_rate(result)
+    ratio, ratio_window = delta_beta_ratio(result)
     rate_target = consts.decay_rate
     ratio_target = (consts.a - cfg.alpha) / (consts.a + cfg.alpha)
     gates = [
@@ -377,8 +374,8 @@ def _run_stable(cfg: ExperimentConfig):
         ("roundtrip_residual", result.roundtrip_residual, 0.0, 1e-8),
     ]
     fits = [
-        _fit_entry("beta_decay_rate", rate_target, rate, (0.5 * result.t_start, result.t_start)),
-        _fit_entry("delta_beta_ratio", ratio_target, ratio, (0.8 * result.t_start, result.t_start)),
+        _fit_entry("beta_decay_rate", rate_target, rate, rate_window),
+        _fit_entry("delta_beta_ratio", ratio_target, ratio, ratio_window),
     ]
     values = {
         "roundtrip_residual": result.roundtrip_residual,
@@ -388,19 +385,26 @@ def _run_stable(cfg: ExperimentConfig):
     return gates, values, {"stable": result, "fits": fits}
 
 
-# Each preset's runner and the fields it sets over the ExperimentConfig
-# defaults.  A runner returns (gates, values, artifacts); each gate holds the
-# arguments of _check.
+# One row per preset: its runner, the fields it sets over the ExperimentConfig
+# defaults, whether it reads the closed-form (alpha, M) constants (so needs
+# alpha > 0 and, for PDE data, M(u0) > 0), whether its gates need a snapshot in
+# (0, t_end] and, for _run_pde, its gate function.  A runner returns
+# (gates, values, artifacts); each gate holds the arguments of _check.
+Preset = namedtuple("Preset", "run defaults closed_form needs_snapshot gates",
+                    defaults=(False, False, None))
 _PRESETS = {
-    "single_pole": (_run_pde, dict(ic="pole:0.5", spectrum_size=256)),
-    "two_poles": (_run_pde, dict(ic="poles:0.7,0.8", spectrum_size=512,
-                                 snapshot_times=(0.0, 2.5, 5.0))),
-    "gaussian": (_run_pde, dict(ic="gaussian:10", dt=2e-3, t_end=100.0)),
-    "baby": (_run_pde, dict(ic="perturbed_circle:0.05", dt=1e-3, grid_size=2048,
-                            spectrum_size=64)),
-    "custom": (_run_pde, {}),
-    "kappa_fit": (_run_kappa, dict(m=16.0 / 9.0, t_end=500.0)),
-    "stable_manifold": (_run_stable, {}),
+    "single_pole": Preset(_run_pde, dict(ic="pole:0.5", spectrum_size=256), True,
+                          gates=_single_pole_gates),
+    "two_poles": Preset(_run_pde, dict(ic="poles:0.7,0.8", spectrum_size=512,
+                                       snapshot_times=(0.0, 2.5, 5.0)),
+                        needs_snapshot=True, gates=_two_poles_gates),
+    "gaussian": Preset(_run_pde, dict(ic="gaussian:10", dt=2e-3, t_end=100.0),
+                       gates=_gaussian_gates),
+    "baby": Preset(_run_pde, dict(ic="perturbed_circle:0.05", dt=1e-3, grid_size=2048,
+                                  spectrum_size=64), True, gates=_baby_gates),
+    "custom": Preset(_run_pde, {}, gates=lambda run: ([], [])),
+    "kappa_fit": Preset(_run_kappa, dict(m=16.0 / 9.0, t_end=500.0), True),
+    "stable_manifold": Preset(_run_stable, {}, True),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -409,7 +413,7 @@ PRESET_NAMES = tuple(_PRESETS)
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Run one preset, check its gates and, if ``out_dir`` is given, write its artifact files."""
     cfg.validate()
-    gates, values, artifacts = _PRESETS[cfg.preset][0](cfg)
+    gates, values, artifacts = _PRESETS[cfg.preset].run(cfg)
     checks = [_check(*gate) for gate in gates]
     result = ExperimentResult(cfg.preset, all(c["passed"] for c in checks), checks,
                               artifacts, values)

@@ -516,23 +516,23 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     )
 
 
-def beta_decay_rate(result: StableManifoldResult, window=None) -> float:
-    """Exponential decay rate of beta fitted over ``window`` (default [t_start/2, t_start])."""
-    lo, hi = window if window is not None else (0.5 * result.t_start, result.t_start)
+def beta_decay_rate(result: StableManifoldResult) -> tuple:
+    """Exponential decay rate of beta fitted over [t_start/2, t_start], and that window."""
+    lo, hi = 0.5 * result.t_start, result.t_start
     mask = (result.t >= lo) & (result.t <= hi) & (result.beta > 0)
     if int(mask.sum()) < 8:
         raise FitError("window too short for a decay-rate fit")
     slope, _ = linear_fit(result.t[mask], np.log(result.beta[mask]))
-    return -slope
+    return -slope, (lo, hi)
 
 
-def delta_beta_ratio(result: StableManifoldResult, window=None) -> float:
-    """Mean delta/beta over the late window (default: last fifth before t_start)."""
-    lo, hi = window if window is not None else (0.8 * result.t_start, result.t_start)
+def delta_beta_ratio(result: StableManifoldResult) -> tuple:
+    """Mean delta/beta over the last fifth before t_start, and that window."""
+    lo, hi = 0.8 * result.t_start, result.t_start
     mask = (result.t >= lo) & (result.t <= hi) & (result.beta > 0)
     if int(mask.sum()) < 2:
         raise FitError("window too short for the ratio estimate")
-    return float(np.mean(result.delta[mask] / result.beta[mask]))
+    return float(np.mean(result.delta[mask] / result.beta[mask])), (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,8 @@ def test_criterion_08_closed_form_identities():
 def test_criterion_09_stable_manifold():
     c = asymptotic_constants(1.0, 1.0)
     res = stable_manifold_trajectory(1.0, 1.0, 1.0)
-    rate = beta_decay_rate(res)
-    ratio = delta_beta_ratio(res)
+    rate, _ = beta_decay_rate(res)
+    ratio, _ = delta_beta_ratio(res)
     ratio_target = (c.a - 1.0) / (c.a + 1.0)
     rate_rel = abs(rate - c.decay_rate) / c.decay_rate
     ratio_rel = abs(ratio - ratio_target) / ratio_target

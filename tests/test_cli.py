@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -460,6 +461,42 @@ def test_sobolev_exponents_below_half_are_rejected():
     assert err.value.field == "sobolev_exponents"
 
 
+# The file-only keys: a finite Sobolev exponent, and gamma = M (1 - |p|^2) in (0, M]
+# (kappa_fit runs at M = 16/9).
+@pytest.mark.parametrize("preset, overrides", [
+    ("custom", {"sobolev_exponents": (1.0, math.inf)}),
+    ("custom", {"sobolev_exponents": (math.nan,)}),
+    ("custom", {"sobolev_exponents": (1.0, math.nan)}),
+    ("kappa_fit", {"gamma0": -1.0}),
+    ("kappa_fit", {"gamma0": 0.0}),
+    ("kappa_fit", {"gamma0": 5.0}),
+    ("kappa_fit", {"gamma0": math.nan}),
+    ("kappa_fit", {"gamma0": math.inf}),
+])
+def test_file_only_values_out_of_range_are_rejected(preset, overrides):
+    with pytest.raises(ConfigError) as err:
+        build_config(preset, overrides)
+    assert err.value.field == next(iter(overrides))
+
+
+def test_gamma0_equal_to_m_is_accepted():
+    assert build_config("kappa_fit", {"gamma0": _M_POLE}).gamma0 == _M_POLE
+
+
+@pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")
+def test_baby_reads_m_from_initial_data():
+    small = {"grid_size": 256, "t_end": 0.5, "spectrum_size": 32}
+    circle = run_experiment(build_config("baby", {**small, "ic": "circle:2"}))
+    rate = circle.artifacts["fits"][0]
+    assert rate["name"] == "linearized_growth_rate"
+    assert rate["target"] == pytest.approx(0.5 * (asymptotic_constants(1.0, 4.0).a - 1.0),
+                                           rel=1e-12)
+    base = run_experiment(build_config("baby", small))
+    other_m = run_experiment(build_config("baby", {**small, "m": 3.0}))
+    assert other_m.checks == base.checks
+    assert other_m.artifacts["fits"] == base.artifacts["fits"]
+
+
 @pytest.mark.parametrize("argv, field", [
     (["wode", "--dt", "0"], "dt"),
     (["wode", "--record-stride", "0"], "record_stride"),
@@ -530,6 +567,15 @@ def test_sobolev_exponents_below_half_are_rejected():
     (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "nan"], "tol"),
     (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "inf"], "tol"),
     (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "-1"], "tol"),
+    # the baby targets, like single_pole's, read the momentum of u(0)
+    (["simulate", "--preset", "baby", "--ic", "circle:0", "--n", "64", "--t-end", "0.05"],
+     "ic"),
+    # alpha and M must be finite
+    (["simulate", "--preset", "stable_manifold", "--m", "inf"], "m"),
+    (["simulate", "--preset", "kappa_fit", "--m", "nan"], "m"),
+    (["simulate", "--preset", "custom", "--n", "64", "--alpha", "inf"], "alpha"),
+    (["simulate", "--preset", "custom", "--n", "64", "--alpha", "nan"], "alpha"),
+    (["simulate", "--preset", "stable_manifold", "--alpha", "inf"], "alpha"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -580,6 +626,15 @@ def test_readme_lists_every_config_key():
     # the sentence "Keys: `preset`, `ic`, ..., `ode_dt`." under "Configuration files"
     listed = re.findall(r"`(\w+)`", _readme().split("Keys: ", 1)[1].split(".", 1)[0])
     assert sorted(listed) == sorted(CONFIG_KEYS)
+
+
+def test_readme_preset_table_names_every_gate():
+    # the gates column of each "| `preset` | what it runs | gates |" row
+    table = _readme().split("### Presets", 1)[1].split("###", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \|[^|]*\|([^|]*)\|$", table, re.M))
+    assert set(rows) == set(PRESET_NAMES)
+    for preset, (_, gates, _, _) in _PRESET_GATES.items():
+        assert {g[0] for g in gates} <= set(re.findall(r"`(\w+)`", rows[preset])), preset
 
 
 def test_kappa_preset_trajectory_csv(tmp_path):

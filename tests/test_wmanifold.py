@@ -487,9 +487,9 @@ def test_stable_manifold_construction():
     c = asymptotic_constants(1.0, 1.0)
     res = stable_manifold_trajectory(1.0, 1.0, 1.0)
     assert res.roundtrip_residual < 1e-8
-    rate = beta_decay_rate(res)
+    rate, _ = beta_decay_rate(res)
     assert abs(rate - c.decay_rate) < 0.01 * c.decay_rate
-    ratio = delta_beta_ratio(res)
+    ratio, _ = delta_beta_ratio(res)
     target = (c.a - 1.0) / (c.a + 1.0)
     assert abs(ratio - target) < 0.01 * target
     assert np.all(res.beta > 0)
