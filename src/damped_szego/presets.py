@@ -22,6 +22,7 @@ from .reporting import (
 )
 from .solver import SolverConfig, check_lyapunov, evolve
 from .wmanifold import (
+    MIN_TAIL_SAMPLES,
     ReducedState,
     asymptotic_constants,
     beta_decay_rate,
@@ -30,6 +31,7 @@ from .wmanifold import (
     integrate_reduced,
     linearization_matrix,
     linearized_q0,
+    record_times,
     stable_manifold_trajectory,
 )
 
@@ -99,8 +101,9 @@ class ExperimentConfig:
             "sobolev_exponents": (all(0.5 <= s < math.inf for s in self.sobolev_exponents),
                                   "Sobolev exponents must be finite and >= 1/2"),
             "beta_inf": (0 < self.beta_inf < math.inf, "beta_inf must be positive and finite"),
-            "t_start": (self.t_start is None or math.isfinite(self.t_start),
-                        "t_start must be finite"),
+            # Both stable-manifold fit windows end at t_start.
+            "t_start": (self.t_start is None or 0 < self.t_start < math.inf,
+                        "t_start must be positive and finite"),
             "t_end_back": (math.isfinite(self.t_end_back)
                            and (self.t_start is None or self.t_end_back < self.t_start),
                            "t_end_back must be finite and smaller than t_start"),
@@ -351,9 +354,14 @@ def _run_kappa(cfg: ExperimentConfig):
     gamma0 = cfg.gamma0 if cfg.gamma0 is not None else 0.75 * cfg.m
     r0 = ReducedState(beta=0.0, gamma=gamma0, zeta=0j)
     stride = max(1, int(round(0.1 / cfg.ode_dt)))
+    window = (0.5 * cfg.t_end, cfg.t_end)
+    t = record_times(cfg.ode_dt, cfg.t_end, stride)
+    samples = int(np.count_nonzero((t >= window[0]) & (t <= window[1])))
+    require({"t_end": (samples >= MIN_TAIL_SAMPLES,
+                       f"t_end = {cfg.t_end:g} leaves {samples} records in the fit window "
+                       f"[{window[0]:g}, {window[1]:g}]; need >= {MIN_TAIL_SAMPLES}")})
     traj = integrate_reduced(r0, cfg.alpha, cfg.m, cfg.ode_dt, cfg.t_end, record_stride=stride)
     kappa = asymptotic_constants(cfg.alpha, cfg.m).kappa
-    window = (0.5 * cfg.t_end, cfg.t_end)
     fitted = gamma_tail_fit(traj, window=window)
     return ([("kappa_fit", fitted, kappa, 0.05, "rel")], {"kappa": kappa, "fitted": fitted},
             {"trajectory": traj, "fits": [_fit_entry("gamma_times_t", kappa, fitted, window)]})

@@ -33,6 +33,7 @@ __all__ = [
     "reduced_from_w",
     "integrate_w",
     "integrate_reduced",
+    "record_times",
     "asymptotic_constants",
     "gamma_tail_fit",
     "linearized_q0",
@@ -184,16 +185,20 @@ def w_rhs(b: complex, c: complex, p: complex, alpha: float):
     return db, dc, dp
 
 
-def reduced_rhs(beta: float, gamma: float, zeta: complex, alpha: float, m: float):
-    """Derivatives (dbeta, dgamma, dzeta) of the gauge-reduced system at momentum m."""
-    im = zeta.imag
-    dzeta = (
-        -(alpha + 1j * m) * zeta
-        + (3j * gamma - 1j * beta) * zeta
-        - 2j * beta * gamma * m
-        + 1j * gamma * gamma * (m - gamma + 3.0 * beta)
+def reduced_rhs(beta: float, gamma: float, zr: float, zi: float, alpha: float, m: float):
+    """Derivatives (dbeta, dgamma, dzr, dzi) of the gauge-reduced system at momentum m.
+
+    zr and zi are the real and imaginary parts of zeta; dzeta = -(alpha + iM) zeta
+    + i(3 gamma - beta) zeta - 2i beta gamma M + i gamma^2 (M - gamma + 3 beta).
+    """
+    s = 3.0 * gamma - beta
+    return (
+        -2.0 * alpha * beta + 2.0 * zi,
+        -2.0 * zi,
+        -alpha * zr + m * zi - s * zi,
+        -alpha * zi - m * zr + s * zr - 2.0 * beta * gamma * m
+        + gamma * gamma * (m - gamma + 3.0 * beta),
     )
-    return -2.0 * alpha * beta + 2.0 * im, -2.0 * im, dzeta
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +238,52 @@ class ReducedTrajectory:
     momentum: float
 
 
+def _record_steps(n_steps, stride):
+    """The steps a run records: every ``stride``-th and the last."""
+    return [*range(0, n_steps, stride), n_steps]
+
+
 def _rk4(f, y0, t0, dt, n_steps, stride):
-    """Classical RK4 on a triple of scalars, ``f(x, y, z) -> (dx, dy, dz)``.
+    """Classical RK4 on four real scalars, ``f(w, x, y, z) -> (dw, dx, dy, dz)``.
 
     Records ``t0 + i*dt`` and the state every ``stride`` steps and after the
-    last step; returns the times and a complex ``(records, 3)`` array.
+    last step; returns the times and a float ``(records, 4)`` array.  Python
+    floats, unlike complex numbers, take the interpreter's specialised
+    arithmetic, so the gauge-reduced systems carry zeta as two reals.
+    """
+    w, x, y, z = y0
+    h = 0.5 * dt
+    h6 = dt / 6.0
+    steps = _record_steps(n_steps, stride)
+    out = np.empty((len(steps), 4))
+    out[0] = y0
+    j = 1
+    for i in range(1, n_steps + 1):
+        a1, b1, c1, d1 = f(w, x, y, z)
+        a2, b2, c2, d2 = f(w + h * a1, x + h * b1, y + h * c1, z + h * d1)
+        a3, b3, c3, d3 = f(w + h * a2, x + h * b2, y + h * c2, z + h * d2)
+        a4, b4, c4, d4 = f(w + dt * a3, x + dt * b3, y + dt * c3, z + dt * d3)
+        w += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        x += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        y += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        z += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        if i % stride == 0 or i == n_steps:
+            out[j] = w, x, y, z
+            j += 1
+    return t0 + np.array(steps) * dt, out
+
+
+def _rk4_complex(f, y0, t0, dt, n_steps, stride):
+    """:func:`_rk4` on a triple of complex scalars, ``f(x, y, z) -> (dx, dy, dz)``.
+
+    The (b, c, p) system has six real unknowns, so it keeps this loop: one
+    six-real loop for all three systems would slow the four-real ones.
+    Returns the times and a complex ``(records, 3)`` array.
     """
     x, y, z = y0
     h = 0.5 * dt
     h6 = dt / 6.0
-    steps = [*range(0, n_steps, stride), n_steps]
+    steps = _record_steps(n_steps, stride)
     out = np.empty((len(steps), 3), dtype=complex)
     out[0] = y0
     j = 1
@@ -260,10 +301,22 @@ def _rk4(f, y0, t0, dt, n_steps, stride):
     return t0 + np.array(steps) * dt, out
 
 
+def _complex_column(re, im):
+    """Complex array with exactly these parts; ``re + 1j*im`` can flip a zero's sign."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def _n_steps(dt, t_end, stride):
     if dt <= 0 or t_end <= 0 or stride < 1:
         raise ValueError("dt, t_end and record_stride must be positive")
     return max(1, int(round(t_end / dt)))
+
+
+def record_times(dt: float, t_end: float, record_stride: int = 1) -> np.ndarray:
+    """The times :func:`integrate_w` and :func:`integrate_reduced` record at."""
+    return np.array(_record_steps(_n_steps(dt, t_end, record_stride), record_stride)) * dt
 
 
 def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
@@ -273,8 +326,8 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
     Warns when a recorded |p| comes within 1e-6 of 1 (the explosion regime
     outruns the parameterisation, though the ODE itself stays finite).
     """
-    ts, rows = _rk4(lambda b, c, p: w_rhs(b, c, p, alpha), (w0.b, w0.c, w0.p),
-                    0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
+    ts, rows = _rk4_complex(lambda b, c, p: w_rhs(b, c, p, alpha), (w0.b, w0.c, w0.p),
+                            0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
     # Python abs, as np.abs can differ by an ulp, which 1 - |p|^2 amplifies
     cp = [(abs(c), abs(p)) for _, c, p in rows.tolist()]
     near = [t for t, (_, ap) in zip(ts, cp) if ap > 1.0 - 1e-6]
@@ -293,14 +346,15 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
 def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end: float,
                       record_stride: int = 1) -> ReducedTrajectory:
     """RK4 on the (beta, gamma, zeta) system at fixed momentum."""
-    ts, rows = _rk4(lambda b, g, z: reduced_rhs(b, g, z, alpha, m),
-                    (float(r0.beta), float(r0.gamma), complex(r0.zeta)),
+    zeta = complex(r0.zeta)
+    ts, rows = _rk4(lambda b, g, zr, zi: reduced_rhs(b, g, zr, zi, alpha, m),
+                    (float(r0.beta), float(r0.gamma), zeta.real, zeta.imag),
                     0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
     return ReducedTrajectory(
         t=ts,
-        beta=rows[:, 0].real,
-        gamma=rows[:, 1].real,
-        zeta=rows[:, 2],
+        beta=rows[:, 0],
+        gamma=rows[:, 1],
+        zeta=_complex_column(rows[:, 2], rows[:, 3]),
         momentum=m,
     )
 
@@ -308,6 +362,10 @@ def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end
 # ---------------------------------------------------------------------------
 # asymptotic fits
 # ---------------------------------------------------------------------------
+
+# The fewest samples gamma_tail_fit averages over.
+MIN_TAIL_SAMPLES = 8
+
 
 def gamma_tail_fit(traj: ReducedTrajectory, window=None) -> float:
     """Fitted constant of the algebraic tail gamma(t) ~ const / t.
@@ -318,8 +376,9 @@ def gamma_tail_fit(traj: ReducedTrajectory, window=None) -> float:
     t_end = float(traj.t[-1])
     lo, hi = window if window is not None else (0.5 * t_end, t_end)
     mask = (traj.t >= lo) & (traj.t <= hi) & (traj.t > 0)
-    if int(mask.sum()) < 8:
-        raise FitError(f"window [{lo}, {hi}] contains {int(mask.sum())} samples; need >= 8")
+    if int(mask.sum()) < MIN_TAIL_SAMPLES:
+        raise FitError(f"window [{lo}, {hi}] contains {int(mask.sum())} samples; "
+                       f"need >= {MIN_TAIL_SAMPLES}")
     if traj.gamma[-1] > 0.25 * traj.gamma[0]:
         raise FitError("gamma has not decayed; trajectory is not in the exploding regime")
     return float(np.mean(traj.gamma[mask] * traj.t[mask]))
@@ -397,18 +456,17 @@ def _delta_form_q(beta, delta, zr, zi, m):
     )
 
 
-def _delta_rhs(beta: float, delta: float, zeta: complex, alpha: float, m: float):
-    """Derivatives (dbeta, ddelta, dzeta) of X = (beta, delta, zeta): -A X + Q(X).
+def _delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float, m: float):
+    """Derivatives (dbeta, ddelta, dzr, dzi) of X = (beta, delta, Re zeta, Im zeta): -A X + Q(X).
 
     Integrating delta = M - gamma itself keeps its relative accuracy near the circle.
     """
-    zr, zi = zeta.real, zeta.imag
     qr, qi = _delta_form_q(beta, delta, zr, zi, m)
     return (
         -2.0 * alpha * beta + 2.0 * zi,
         2.0 * zi,
-        complex(-alpha * zr - 2.0 * m * zi + qr,
-                m * m * (beta + delta) + 2.0 * m * zr - alpha * zi + qi),
+        -alpha * zr - 2.0 * m * zi + qr,
+        m * m * (beta + delta) + 2.0 * m * zr - alpha * zi + qi,
     )
 
 
@@ -491,21 +549,19 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     n_steps = max(1, int(round((t_start - t_end_back) / 2.5e-4)))
     step = (t_start - t_end_back) / n_steps
 
-    def rhs(beta, delta, zeta):
-        return _delta_rhs(beta, delta, zeta, alpha, m)
+    def rhs(beta, delta, zr, zi):
+        return _delta_rhs(beta, delta, zr, zi, alpha, m)
 
-    back_t, back = _rk4(rhs, (float(seed[0]), float(seed[1]), complex(seed[2], seed[3])),
-                        t_start, -step, n_steps, 1)
-    b, d, z = back[-1].tolist()
-    b, d, z = _rk4(rhs, (b.real, d.real, z), t_end_back, step, n_steps, n_steps)[1][-1].tolist()
-    roundtrip = float(np.max(np.abs(np.array([b.real, d.real, z.real, z.imag]) - seed)))
+    back_t, back = _rk4(rhs, seed.tolist(), t_start, -step, n_steps, 1)
+    forward = _rk4(rhs, back[-1].tolist(), t_end_back, step, n_steps, n_steps)[1][-1]
+    roundtrip = float(np.max(np.abs(forward - seed)))
 
     rows = back[::-1]
     return StableManifoldResult(
         t=back_t[::-1],
-        beta=rows[:, 0].real,
-        delta=rows[:, 1].real,
-        zeta=rows[:, 2],
+        beta=rows[:, 0],
+        delta=rows[:, 1],
+        zeta=_complex_column(rows[:, 2], rows[:, 3]),
         alpha=alpha,
         momentum=m,
         beta_inf=beta_inf,

@@ -4,7 +4,7 @@ import numpy as np
 
 from damped_szego.hankel import eigenvalues, explosion_criterion, gram_k, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
-from damped_szego.wmanifold import linearization_matrix, reduced_rhs, w_rhs
+from damped_szego.wmanifold import linearization_matrix, w_rhs
 
 
 def dft_to_grid_oracle(u: HardyState) -> np.ndarray:
@@ -136,18 +136,47 @@ def reference_integrate_w(w0, alpha, dt, t_end, stride):
     return [np.array(col) for col in zip(*rows)]
 
 
+def complex_reduced_rhs(beta, gamma, zeta, alpha, m):
+    """(dbeta, dgamma, dzeta) of the gauge-reduced system in complex arithmetic."""
+    im = zeta.imag
+    dzeta = (
+        -(alpha + 1j * m) * zeta
+        + (3j * gamma - 1j * beta) * zeta
+        - 2j * beta * gamma * m
+        + 1j * gamma * gamma * (m - gamma + 3.0 * beta)
+    )
+    return -2.0 * alpha * beta + 2.0 * im, -2.0 * im, dzeta
+
+
+def complex_delta_rhs(beta, delta, zeta, alpha, m):
+    """(dbeta, ddelta, dzeta) of the (beta, delta, zeta) system with a complex zeta."""
+    zr, zi = zeta.real, zeta.imag
+    s = beta + 3.0 * delta
+    qr = s * zi
+    qi = (-s * zr - 2.0 * m * delta**2 - 4.0 * m * beta * delta + delta**3
+          + 3.0 * beta * delta**2)
+    return (
+        -2.0 * alpha * beta + 2.0 * zi,
+        2.0 * zi,
+        complex(-alpha * zr - 2.0 * m * zi + qr,
+                m * m * (beta + delta) + 2.0 * m * zr - alpha * zi + qi),
+    )
+
+
 def reference_integrate_reduced(r0, alpha, m, dt, t_end, stride):
-    """RK4 on (beta, gamma, zeta), written out per variable; rows (t, beta, gamma, zeta)."""
+    """RK4 on (beta, gamma, zeta) with a complex zeta, written out per variable;
+    rows (t, beta, gamma, zeta)."""
     n_steps = max(1, int(round(t_end / dt)))
     beta, gamma, zeta = float(r0.beta), float(r0.gamma), complex(r0.zeta)
     rows = [(0.0, beta, gamma, zeta)]
+    f = complex_reduced_rhs
     for i in range(1, n_steps + 1):
-        k1 = reduced_rhs(beta, gamma, zeta, alpha, m)
-        k2 = reduced_rhs(beta + 0.5 * dt * k1[0], gamma + 0.5 * dt * k1[1],
-                         zeta + 0.5 * dt * k1[2], alpha, m)
-        k3 = reduced_rhs(beta + 0.5 * dt * k2[0], gamma + 0.5 * dt * k2[1],
-                         zeta + 0.5 * dt * k2[2], alpha, m)
-        k4 = reduced_rhs(beta + dt * k3[0], gamma + dt * k3[1], zeta + dt * k3[2], alpha, m)
+        k1 = f(beta, gamma, zeta, alpha, m)
+        k2 = f(beta + 0.5 * dt * k1[0], gamma + 0.5 * dt * k1[1], zeta + 0.5 * dt * k1[2],
+               alpha, m)
+        k3 = f(beta + 0.5 * dt * k2[0], gamma + 0.5 * dt * k2[1], zeta + 0.5 * dt * k2[2],
+               alpha, m)
+        k4 = f(beta + dt * k3[0], gamma + dt * k3[1], zeta + dt * k3[2], alpha, m)
         beta += dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         gamma += dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         zeta += dt / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])

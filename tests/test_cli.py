@@ -576,6 +576,10 @@ def test_baby_reads_m_from_initial_data():
     (["simulate", "--preset", "custom", "--n", "64", "--alpha", "inf"], "alpha"),
     (["simulate", "--preset", "custom", "--n", "64", "--alpha", "nan"], "alpha"),
     (["simulate", "--preset", "stable_manifold", "--alpha", "inf"], "alpha"),
+    # the kappa fit averages over at least 8 records (0.1 apart) in [t_end/2, t_end]
+    (["simulate", "--preset", "kappa_fit", "--t-end", "0.5"], "t_end"),
+    # both stable-manifold fit windows end at t_start
+    (["simulate", "--preset", "stable_manifold", "--t-start=-1", "--t-end-back=-2"], "t_start"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -620,6 +624,11 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {"simulate", "spectrum", "wode", "verify"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_readme_library_calls_run():
+    block = _readme().split("## Library calls", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
 
 
 def test_readme_lists_every_config_key():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from damped_szego.errors import (
@@ -34,8 +34,10 @@ from damped_szego.wmanifold import (
     w_rhs,
     w_to_hardy,
 )
-from damped_szego.wmanifold import _delta_rhs
+from damped_szego.wmanifold import _delta_rhs, _rk4
 from helpers import (
+    complex_delta_rhs,
+    complex_reduced_rhs,
     finite_diff,
     reference_delta_run,
     reference_integrate_reduced,
@@ -142,12 +144,11 @@ def test_momentum_derivative_vanishes(alpha):
 
 def test_reduced_fixed_point_on_circle():
     m = 2.0
-    db, dg, dz = reduced_rhs(0.0, m, 0j, alpha=1.0, m=m)
-    assert db == 0 and dg == 0 and dz == 0
+    assert reduced_rhs(0.0, m, 0.0, 0.0, alpha=1.0, m=m) == (0.0, 0.0, 0.0, 0.0)
 
     # off the circle radius the zeta source does not vanish
-    _, _, dz = reduced_rhs(0.0, 0.5 * m, 0j, alpha=1.0, m=m)
-    assert abs(dz - 1j * (0.5 * m) ** 2 * (m - 0.5 * m)) < 1e-14
+    _, _, dzr, dzi = reduced_rhs(0.0, 0.5 * m, 0.0, 0.0, alpha=1.0, m=m)
+    assert abs(complex(dzr, dzi) - 1j * (0.5 * m) ** 2 * (m - 0.5 * m)) < 1e-14
 
 
 def test_reduced_rhs_is_pushforward_of_w_rhs():
@@ -164,7 +165,8 @@ def test_reduced_rhs_is_pushforward_of_w_rhs():
         + w.c * np.conj(w.b) * np.conj(dp)
     )
     r = reduced_from_w(w)
-    rb, rg, rz = reduced_rhs(r.beta, r.gamma, r.zeta, alpha, m)
+    rb, rg, rzr, rzi = reduced_rhs(r.beta, r.gamma, r.zeta.real, r.zeta.imag, alpha, m)
+    rz = complex(rzr, rzi)
     scale = max(1.0, m**2)
     assert abs(rb - dbeta) < 1e-12 * scale
     assert abs(rg - dgamma) < 1e-12 * scale
@@ -185,7 +187,8 @@ def test_constraint_derivative_vanishes():
     w = WState(0.3, 1.0, 0.5)
     m = w.momentum
     r = reduced_from_w(w)
-    db, dg, dz = reduced_rhs(r.beta, r.gamma, r.zeta, alpha=1.0, m=m)
+    db, dg, dzr, dzi = reduced_rhs(r.beta, r.gamma, r.zeta.real, r.zeta.imag, alpha=1.0, m=m)
+    dz = complex(dzr, dzi)
     # d/dt [ |zeta|^2 - (M - gamma) gamma^2 beta ] via the chain rule
     d_constraint = (
         2.0 * (np.conj(r.zeta) * dz).real
@@ -198,20 +201,38 @@ def test_constraint_derivative_vanishes():
 def test_delta_form_matches_gamma_form():
     alpha, m = 1.0, 1.5
     beta, delta = 0.04, 0.03
-    zeta = 0.01 - 0.02j
-    db, dd, dz = _delta_rhs(beta, delta, zeta, alpha, m)
-    rb, rg, rz = reduced_rhs(beta, m - delta, zeta, alpha, m)
+    zr, zi = 0.01, -0.02
+    db, dd, dzr, dzi = _delta_rhs(beta, delta, zr, zi, alpha, m)
+    rb, rg, rzr, rzi = reduced_rhs(beta, m - delta, zr, zi, alpha, m)
     assert abs(db - rb) < 1e-14
     assert abs(dd - (-rg)) < 1e-14
-    assert abs(dz - rz) < 1e-14
+    assert abs(complex(dzr, dzi) - complex(rzr, rzi)) < 1e-14
 
     # its linear part is -A, with A the linearization matrix
     eps = 1e-7
-    x = np.array([beta, delta, zeta.real, zeta.imag])
+    x = np.array([beta, delta, zr, zi])
     a_mat, _ = linearization_matrix(alpha, m)
-    db, dd, dz = _delta_rhs(eps * beta, eps * delta, eps * zeta, alpha, m)
-    lin = np.array([db, dd, dz.real, dz.imag]) / eps
+    lin = np.array(_delta_rhs(*(eps * x).tolist(), alpha, m)) / eps
     assert np.max(np.abs(lin + a_mat @ x)) < 1e-8
+
+
+_PART = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), gamma=_PART, zr=_PART, zi=_PART,
+       alpha=st.floats(0.0, 2.0), m=st.floats(0.1, 3.0))
+@example(beta=0.0, gamma=1.5, zr=0.0, zi=0.0, alpha=1.0, m=2.0)  # the kappa_fit start
+@example(beta=0.0, gamma=2.0, zr=0.0, zi=0.0, alpha=1.0, m=2.0)  # the circle orbit
+def test_real_rhs_equal_complex_oracles_bitwise(beta, gamma, zr, zi, alpha, m):
+    # gamma doubles as delta
+    zeta = complex(zr, zi)
+    db, dg, dz = complex_reduced_rhs(beta, gamma, zeta, alpha, m)
+    assert np.array_equal(reduced_rhs(beta, gamma, zr, zi, alpha, m),
+                          [db, dg, dz.real, dz.imag])
+    db, dd, dz = complex_delta_rhs(beta, gamma, zeta, alpha, m)
+    assert np.array_equal(_delta_rhs(beta, gamma, zr, zi, alpha, m),
+                          [db, dd, dz.real, dz.imag])
 
 
 # --- integrators ------------------------------------------------------------
@@ -332,7 +353,7 @@ def test_stable_manifold_matches_reference_run():
     assert np.max(np.abs(got - want) / np.abs(want).max(axis=0)) < 1e-14
 
 
-@pytest.mark.parametrize("system", ["w", "reduced"])
+@pytest.mark.parametrize("system", ["w", "reduced", "delta"])
 def test_ode_rk4_halving_dt_gains_factor_16(system):
     w0 = W_STATES[2]
     m = w0.momentum
@@ -343,6 +364,10 @@ def test_ode_rk4_halving_dt_gains_factor_16(system):
         if system == "w":
             traj = integrate_w(w0, 1.0, dt, t_end, record_stride=10**9)
             return np.array([traj.b[-1], traj.c[-1], traj.p[-1]])
+        if system == "delta":
+            x0 = (r0.beta, m - r0.gamma, r0.zeta.real, r0.zeta.imag)
+            n = round(t_end / dt)
+            return _rk4(lambda *x: _delta_rhs(*x, 1.0, m), x0, 0.0, dt, n, n)[1][-1]
         traj = integrate_reduced(r0, 1.0, m, dt, t_end, record_stride=10**9)
         return np.array([traj.beta[-1], traj.gamma[-1], traj.zeta[-1]])
 
