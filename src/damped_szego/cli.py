@@ -126,8 +126,9 @@ def _cmd_wode(args):
         "dt": (0 < args.dt < math.inf, "dt must be positive and finite"),
         "t_end": (0 < args.t_end < math.inf, "t_end must be positive and finite"),
         "record_stride": (args.record_stride > 0, "record_stride must be positive"),
-        "alpha": (args.alpha >= 0, "alpha must be >= 0"),
-        "s": (args.s > 0.5, "s must be > 1/2: the growth fit compares with t^(2s-1)"),
+        "alpha": (0 <= args.alpha < math.inf, "alpha must be finite and >= 0"),
+        "s": (0.5 < args.s < math.inf,
+              "s must be finite and > 1/2: the growth fit compares with t^(2s-1)"),
         "b": (cmath.isfinite(args.b), "b must be finite"),
         "p": (abs(args.p) < 1, "|p| must be < 1"),
         "c": (cmath.isfinite(args.c) and args.c != 0, "c must be finite and nonzero"),
@@ -153,9 +154,9 @@ def _cmd_wode(args):
 
 def _cmd_verify(args):
     require({
-        "alpha": (args.alpha > 0, "alpha must be positive"),
-        "m": (args.m > 0, "m must be positive"),
-        "s": (args.s >= 0.5, "s must be >= 1/2"),
+        "alpha": (0 < args.alpha < math.inf, "alpha must be positive and finite"),
+        "m": (0 < args.m < math.inf, "m must be positive and finite"),
+        "s": (0.5 <= args.s < math.inf, "s must be finite and >= 1/2"),
     })
     report = verify_identities(args.alpha, args.m, args.s)
     printable = dict(report)

@@ -29,15 +29,7 @@ class InvalidMatrixError(SzegoError):
 
 
 class NotInManifoldError(SzegoError):
-    """Coefficients do not describe a rank-one state.
-
-    ``max_deviation`` is the largest observed departure of the coefficient
-    ratios from a geometric progression.
-    """
-
-    def __init__(self, message, max_deviation=None):
-        self.max_deviation = max_deviation
-        super().__init__(message)
+    """Parameters (b, c, p) lie off the rank-one manifold (|p| >= 1 or c = 0)."""
 
 
 class FitError(SzegoError):

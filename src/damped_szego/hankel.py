@@ -41,7 +41,6 @@ __all__ = [
     "KSpectrum",
     "Verdict",
     "CriterionVerdict",
-    "gram_h",
     "gram_k",
     "eigenvalues",
     "k_eigenvalues",
@@ -120,13 +119,6 @@ def _gram(c: np.ndarray, size: int) -> np.ndarray:
     a[m, n] = upper.conj()
     a[n, m] = upper
     return a
-
-
-def gram_h(u: HardyState, size: int) -> np.ndarray:
-    """size x size matrix of H_u^2 in the Fourier basis (Hermitian PSD)."""
-    if size < 1 or size > u.n_modes:
-        raise TruncationError(f"size must lie in [1, {u.n_modes}], got {size}")
-    return _gram(u.coeffs, size)
 
 
 def gram_k(u: HardyState, size: int) -> np.ndarray:

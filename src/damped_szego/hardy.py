@@ -21,7 +21,6 @@ __all__ = [
     "inner_with_one",
     "l2_norm_sq",
     "momentum",
-    "hs_norm_sq",
 ]
 
 
@@ -124,11 +123,3 @@ def momentum(u: HardyState) -> float:
     """Momentum sum_{k>=1} k |u_hat(k)|^2, conserved by the flow."""
     k = np.arange(u.n_modes)
     return float(np.sum(k * np.abs(u.coeffs) ** 2))
-
-
-def hs_norm_sq(u: HardyState, s: float) -> float:
-    """Squared Sobolev norm sum_k (1 + k^2)^s |u_hat(k)|^2 for s >= 1/2."""
-    if s < 0.5:
-        raise ValueError(f"Sobolev exponent must be >= 1/2, got {s}")
-    k = np.arange(u.n_modes, dtype=float)
-    return float(np.sum((1.0 + k * k) ** s * np.abs(u.coeffs) ** 2))

@@ -81,6 +81,8 @@ def _parse_numbers(text):
             val = complex(part)
         except ValueError as exc:
             raise ConfigError(f"cannot parse number {part!r}", field="ic") from exc
+        if not np.isfinite(val):
+            raise ConfigError(f"number {part!r} is not finite", field="ic")
         out.append(val if val.imag != 0 else val.real)
     return out
 

@@ -19,7 +19,6 @@ __all__ = [
     "SolverConfig",
     "DiagnosticsSeries",
     "SolverResult",
-    "rhs",
     "rk4_step",
     "evolve",
     "check_lyapunov",
@@ -167,15 +166,6 @@ def _step(c, ka, n, alpha, dt, threshold, t):
     out = np.zeros(k, dtype=complex)
     out[:b] = cb
     return out, a
-
-
-def rhs(u: HardyState, alpha: float) -> HardyState:
-    """Time derivative du/dt = -i P(|u|^2 u) - alpha*(u|1) e_0."""
-    c = u.coeffs
-    b = min(c.shape[0], 2 * _extent(c) - 1)
-    out = np.zeros(c.shape[0], dtype=complex)
-    out[:b] = _rhs_coeffs(c[:b], _grid(b, u.grid_size), alpha)
-    return HardyState(out, u.grid_size)
 
 
 def rk4_step(u: HardyState, alpha: float, dt: float, krasny_threshold: float = 0.0) -> HardyState:

@@ -27,10 +27,8 @@ __all__ = [
     "ReducedTrajectory",
     "StableManifoldResult",
     "w_to_hardy",
-    "hardy_to_w",
     "w_rhs",
     "reduced_rhs",
-    "reduced_from_w",
     "integrate_w",
     "integrate_reduced",
     "record_times",
@@ -133,41 +131,6 @@ def w_to_hardy(w: WState, n: int) -> HardyState:
     coeffs[0] = w.b
     coeffs[1:] = w.c * np.power(w.p, np.arange(k - 1))
     return HardyState(coeffs, n)
-
-
-def hardy_to_w(u: HardyState) -> WState:
-    """Recover (b, c, p) from coefficients that form a geometric tail.
-
-    The ratio u_hat(k+1)/u_hat(k) must be constant, to 1e-8 max(1, |p|), over
-    the resolved range (coefficients above 1e-8 of |u_hat(1)|); larger
-    deviations raise :class:`NotInManifoldError` carrying the worst offence.
-    """
-    c = u.coeffs
-    if abs(c[1]) == 0:
-        raise NotInManifoldError("u_hat(1) vanishes; c must be nonzero")
-    p = complex(c[2] / c[1])
-    floor = 1e-8 * abs(c[1])
-    resolved = (np.abs(c[1:-1]) > floor) & (np.abs(c[2:]) > floor)
-    max_dev = 0.0
-    if np.any(resolved):
-        ratios = c[2:][resolved] / c[1:-1][resolved]
-        max_dev = float(np.max(np.abs(ratios - p)))
-    if max_dev > 1e-8 * max(1.0, abs(p)):
-        raise NotInManifoldError(
-            f"coefficient ratios deviate from geometric by {max_dev:.3e}", max_deviation=max_dev
-        )
-    if abs(p) >= 1:
-        raise NotInManifoldError(f"recovered |p| = {abs(p)} >= 1")
-    return WState(b=complex(c[0]), c=complex(c[1]), p=p)
-
-
-def reduced_from_w(w: WState) -> ReducedState:
-    m = w.momentum
-    return ReducedState(
-        beta=abs(w.b) ** 2,
-        gamma=m * (1.0 - abs(w.p) ** 2),
-        zeta=m * w.c * w.b.conjugate() * w.p.conjugate(),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,46 @@
-"""Independent brute-force oracles used by the test suite only."""
+"""Oracles and fixtures used by the test suite only.
+
+Most are independent brute-force computations.  ``gram_h`` and ``rhs`` are
+thin wrappers over the package's Gram and band kernels, so the tests built
+on them still exercise the package code.
+"""
 
 import numpy as np
 
-from damped_szego.hankel import eigenvalues, explosion_criterion, gram_k, k_spectrum
+from damped_szego.hankel import _gram, eigenvalues, explosion_criterion, gram_k, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
-from damped_szego.wmanifold import linearization_matrix, w_rhs
+from damped_szego.solver import _extent, _grid, _rhs_coeffs
+from damped_szego.wmanifold import ReducedState, linearization_matrix, w_rhs
+
+
+def hs_norm_sq(u: HardyState, s: float) -> float:
+    """Squared Sobolev norm sum_k (1 + k^2)^s |u_hat(k)|^2."""
+    k = np.arange(u.n_modes, dtype=float)
+    return float(np.sum((1.0 + k * k) ** s * np.abs(u.coeffs) ** 2))
+
+
+def gram_h(u: HardyState, size: int) -> np.ndarray:
+    """size x size matrix of H_u^2 in the Fourier basis: the K_u^2 Gram build on u_hat itself."""
+    return _gram(u.coeffs, size)
+
+
+def rhs(u: HardyState, alpha: float) -> HardyState:
+    """Time derivative du/dt = -i P(|u|^2 u) - alpha*(u|1) e_0 from the solver's band kernel."""
+    c = u.coeffs
+    b = min(c.shape[0], 2 * _extent(c) - 1)
+    out = np.zeros(c.shape[0], dtype=complex)
+    out[:b] = _rhs_coeffs(c[:b], _grid(b, u.grid_size), alpha)
+    return HardyState(out, u.grid_size)
+
+
+def reduced_from_w(w) -> ReducedState:
+    """(beta, gamma, zeta) = (|b|^2, M(1-|p|^2), M c conj(b) conj(p)) of a WState."""
+    m = w.momentum
+    return ReducedState(
+        beta=abs(w.b) ** 2,
+        gamma=m * (1.0 - abs(w.p) ** 2),
+        zeta=m * w.c * w.b.conjugate() * w.p.conjugate(),
+    )
 
 
 def dft_to_grid_oracle(u: HardyState) -> np.ndarray:

@@ -580,6 +580,16 @@ def test_baby_reads_m_from_initial_data():
     (["simulate", "--preset", "kappa_fit", "--t-end", "0.5"], "t_end"),
     # both stable-manifold fit windows end at t_start
     (["simulate", "--preset", "stable_manifold", "--t-start=-1", "--t-end-back=-2"], "t_start"),
+    # every kind:args number must be finite
+    (["spectrum", "--ic", "pole:nan"], "ic"),
+    (["spectrum", "--ic", "gaussian:inf"], "ic"),
+    (["spectrum", "--ic", "circle:inf"], "ic"),
+    (["spectrum", "--ic", "blaschke:nan"], "ic"),
+    (["spectrum", "--ic", "wstate:nan,1,0.5"], "ic"),
+    (["spectrum", "--ic", "pole:0.5,inf"], "ic"),
+    # the rank-one run needs a finite damping and growth exponent
+    (["wode", "--alpha", "inf"], "alpha"),
+    (["wode", "--s", "inf"], "s"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -593,6 +603,9 @@ def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     (["--alpha", "0"], "alpha"),
     (["--m", "0"], "m"),
     (["--s", "-0.5"], "s"),
+    (["--alpha", "inf"], "alpha"),
+    (["--m", "inf"], "m"),
+    (["--s", "inf"], "s"),
 ])
 def test_cli_verify_rejects_non_positive_alpha_and_m(argv, field):
     proc = run_cli("verify", *argv)

@@ -11,7 +11,6 @@ from damped_szego.hankel import (
     eigenvalues,
     explosion_criterion,
     f_functional,
-    gram_h,
     gram_k,
     k_eigenvalues,
     k_spectrum,
@@ -33,6 +32,7 @@ from helpers import (
     criterion,
     dense_gram,
     full_k_eigenvalues,
+    gram_h,
     random_hermitian,
 )
 
@@ -89,8 +89,6 @@ def test_gram_k_trace_is_momentum():
 
 def test_gram_size_validation():
     u = pole_state(0.5, 32)
-    with pytest.raises(TruncationError):
-        gram_h(u, 17)
     with pytest.raises(TruncationError):
         gram_k(u, 100)
 

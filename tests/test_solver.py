@@ -16,11 +16,10 @@ from damped_szego.solver import (
     _nonlinear_coeffs,
     check_lyapunov,
     evolve,
-    rhs,
     rk4_step,
 )
 
-from helpers import full_grid_evolve, full_grid_rhs
+from helpers import full_grid_evolve, full_grid_rhs, rhs
 
 
 def mode_state(values, n):

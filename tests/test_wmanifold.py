@@ -8,8 +8,7 @@ from damped_szego.errors import (
     FixedPointDivergenceError,
     NotInManifoldError,
 )
-from damped_szego.hardy import GridField, from_grid, grid_points, hs_norm_sq
-from damped_szego.initial_conditions import gaussian_state
+from damped_szego.hardy import GridField, from_grid, grid_points
 from damped_szego.solver import SolverConfig, evolve
 from damped_szego.wmanifold import (
     ReducedState,
@@ -22,12 +21,10 @@ from damped_szego.wmanifold import (
     delta_beta_ratio,
     gamma_tail_fit,
     growth_fit,
-    hardy_to_w,
     integrate_reduced,
     integrate_w,
     linearization_matrix,
     linearized_q0,
-    reduced_from_w,
     reduced_rhs,
     sobolev_sq_w,
     stable_manifold_trajectory,
@@ -39,6 +36,8 @@ from helpers import (
     complex_delta_rhs,
     complex_reduced_rhs,
     finite_diff,
+    hs_norm_sq,
+    reduced_from_w,
     reference_delta_run,
     reference_integrate_reduced,
     reference_integrate_w,
@@ -75,30 +74,6 @@ def test_w_rejects_bad_parameters():
         WState(0, 1, 1.0)
     with pytest.raises(NotInManifoldError):
         WState(0, 0, 0.5)
-
-
-def test_hardy_to_w_round_trip():
-    w = WState(0.3 - 0.1j, 0.8 + 0.2j, 0.4 * np.exp(0.3j))
-    back = hardy_to_w(w_to_hardy(w, 256))
-    assert abs(back.b - w.b) < 1e-12
-    assert abs(back.c - w.c) < 1e-12
-    assert abs(back.p - w.p) < 1e-12
-
-
-def test_hardy_to_w_rejects_gaussian():
-    with pytest.raises(NotInManifoldError) as err:
-        hardy_to_w(gaussian_state(10.0, 256))
-    assert err.value.max_deviation is not None
-
-
-def test_hardy_to_w_rejects_vanishing_c():
-    u = w_to_hardy(WState(1.0, 1.0, 0.0), 64)
-    coeffs = u.coeffs.copy()
-    coeffs[1] = 0.0
-    from damped_szego.hardy import HardyState
-
-    with pytest.raises(NotInManifoldError):
-        hardy_to_w(HardyState(coeffs, 64))
 
 
 # --- vector fields ----------------------------------------------------------
