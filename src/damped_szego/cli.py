@@ -15,9 +15,12 @@ import sys
 from .errors import ConfigError, SzegoError, require
 from .initial_conditions import parse_initial_condition
 from .presets import (
+    ALPHA_RULE,
     CONFIG_KEYS,
+    M_RULE,
     PRESET_NAMES,
     build_config,
+    closed_form_finite,
     load_config_file,
     run_experiment,
     spectrum_files,
@@ -154,9 +157,10 @@ def _cmd_wode(args):
 
 def _cmd_verify(args):
     require({
-        "alpha": (0 < args.alpha < math.inf, "alpha must be positive and finite"),
-        "m": (0 < args.m < math.inf, "m must be positive and finite"),
-        "s": (0.5 <= args.s < math.inf, "s must be finite and >= 1/2"),
+        "alpha": (closed_form_finite(args.alpha, 1.0), ALPHA_RULE),
+        "m": (closed_form_finite(args.alpha, args.m), M_RULE),
+        "s": (0.5 <= args.s < math.inf and closed_form_finite(args.alpha, args.m, args.s),
+              "s must be finite and >= 1/2, with a finite H^s growth coefficient"),
     })
     report = verify_identities(args.alpha, args.m, args.s)
     printable = dict(report)

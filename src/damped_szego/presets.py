@@ -1,5 +1,6 @@
 """Preset experiments, their pass/fail checks and artifact writing."""
 
+import cmath
 import math
 import time
 from collections import namedtuple
@@ -42,12 +43,29 @@ __all__ = [
     "PRESET_NAMES",
     "VERDICT_KEYS",
     "build_config",
+    "closed_form_finite",
     "load_config_file",
     "run_experiment",
     "spectrum_files",
     "spectrum_report",
     "verify_identities",
 ]
+
+
+def closed_form_finite(alpha, m, s=1.0) -> bool:
+    """Whether every closed-form constant of (alpha, M), the H^s growth
+    coefficient included, is a finite number; a huge alpha or M overflows."""
+    try:
+        consts = asymptotic_constants(alpha, m)
+        values = [*vars(consts).values(), consts.growth_coeff(s)]
+    except (ArithmeticError, ValueError):
+        return False
+    return all(map(cmath.isfinite, values))
+
+
+# The rules of closed_form_finite(alpha, 1) and closed_form_finite(alpha, m).
+ALPHA_RULE = "alpha must be positive and finite, with finite closed-form constants"
+M_RULE = "m must be positive and finite, with finite closed-form constants at this alpha"
 
 
 @dataclass(frozen=True)
@@ -76,16 +94,19 @@ class ExperimentConfig:
 
     def validate(self):
         row = _PRESETS.get(self.preset, Preset(None, {}))
+        reads_m = row.closed_form and row.run is not _run_pde
         # check_lyapunov needs three records: u(0), the one at record_stride and the last.
         steps = self.t_end / self.dt if self.dt > 0 else math.nan
         pde_too_short = (row.run is _run_pde
                          and math.isfinite(steps) and round(steps) <= self.record_stride)
         require({
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
-            "alpha": (0 < self.alpha < math.inf or (self.alpha == 0 and not row.closed_form),
-                      "alpha must be positive and finite" if row.closed_form
-                      else "alpha must be finite and >= 0"),
-            "m": (0 < self.m < math.inf, "m must be positive and finite"),
+            "alpha": (closed_form_finite(self.alpha, 1.0) if row.closed_form
+                      else 0 <= self.alpha < math.inf,
+                      ALPHA_RULE if row.closed_form else "alpha must be finite and >= 0"),
+            "m": (0 < self.m < math.inf
+                  and (not reads_m or closed_form_finite(self.alpha, self.m)),
+                  M_RULE if reads_m else "m must be positive and finite"),
             # gamma = M (1 - |p|^2) lies in (0, M].
             "gamma0": (self.gamma0 is None or 0 < self.gamma0 <= self.m,
                        "gamma0 must lie in (0, m]"),
@@ -247,8 +268,9 @@ def _run_pde(cfg: ExperimentConfig):
     u0 = parse_initial_condition(cfg.ic, cfg.grid_size)
     m0 = hardy_momentum(u0)
     # The closed-form constants read the momentum of u(0), which validate cannot see.
-    require({"ic": (m0 > 0 or not row.closed_form,
-                    f"{cfg.preset} needs initial data with positive momentum")})
+    require({"ic": (not row.closed_form or closed_form_finite(cfg.alpha, m0),
+                    f"{cfg.preset} needs initial data with positive momentum and finite "
+                    "closed-form constants")})
     solver_cfg = SolverConfig(
         alpha=cfg.alpha,
         dt=cfg.dt,

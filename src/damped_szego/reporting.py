@@ -11,7 +11,6 @@ import os
 import numpy as np
 
 __all__ = [
-    "fmt",
     "csv_table",
     "diagnostics_csv",
     "spectrum_csv",
@@ -24,18 +23,15 @@ __all__ = [
 ]
 
 
-def fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def csv_table(columns) -> str:
     """CSV text of ``columns``, a sequence of (header, values) pairs of equal length.
 
-    Every cell, integers included, is rendered by :func:`fmt`.
+    Every cell, integers included, is rendered as a float with 17
+    significant digits, one ``%`` format per row.
     """
+    row = ",".join(["%.17g"] * len(columns))
     lines = [",".join(name for name, _ in columns)]
-    for row in zip(*(values for _, values in columns)):
-        lines.append(",".join(fmt(v) for v in row))
+    lines += [row % cells for cells in zip(*(values for _, values in columns))]
     return "\n".join(lines) + "\n"
 
 

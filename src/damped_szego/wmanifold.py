@@ -27,8 +27,6 @@ __all__ = [
     "ReducedTrajectory",
     "StableManifoldResult",
     "w_to_hardy",
-    "w_rhs",
-    "reduced_rhs",
     "integrate_w",
     "integrate_reduced",
     "record_times",
@@ -134,37 +132,6 @@ def w_to_hardy(w: WState, n: int) -> HardyState:
 
 
 # ---------------------------------------------------------------------------
-# vector fields
-# ---------------------------------------------------------------------------
-
-def w_rhs(b: complex, c: complex, p: complex, alpha: float):
-    """Time derivatives (db, dc, dp); the momentum is recomputed each call."""
-    gt = 1.0 - (p.real * p.real + p.imag * p.imag)
-    m = (c.real * c.real + c.imag * c.imag) / (gt * gt)
-    bb = b.real * b.real + b.imag * b.imag
-    db = -alpha * b - 1j * ((bb + 2.0 * m * gt) * b + m * c * p.conjugate())
-    dc = -1j * ((2.0 * bb + m) * c + 2.0 * m * gt * b * p)
-    dp = -1j * (m * gt * p + c * b.conjugate())
-    return db, dc, dp
-
-
-def reduced_rhs(beta: float, gamma: float, zr: float, zi: float, alpha: float, m: float):
-    """Derivatives (dbeta, dgamma, dzr, dzi) of the gauge-reduced system at momentum m.
-
-    zr and zi are the real and imaginary parts of zeta; dzeta = -(alpha + iM) zeta
-    + i(3 gamma - beta) zeta - 2i beta gamma M + i gamma^2 (M - gamma + 3 beta).
-    """
-    s = 3.0 * gamma - beta
-    return (
-        -2.0 * alpha * beta + 2.0 * zi,
-        -2.0 * zi,
-        -alpha * zr + m * zi - s * zi,
-        -alpha * zi - m * zr + s * zr - 2.0 * beta * gamma * m
-        + gamma * gamma * (m - gamma + 3.0 * beta),
-    )
-
-
-# ---------------------------------------------------------------------------
 # integrators
 # ---------------------------------------------------------------------------
 
@@ -206,62 +173,122 @@ def _record_steps(n_steps, stride):
     return [*range(0, n_steps, stride), n_steps]
 
 
-def _rk4(f, y0, t0, dt, n_steps, stride):
-    """Classical RK4 on four real scalars, ``f(w, x, y, z) -> (dw, dx, dy, dz)``.
+def _rk4_reduced(y0, dt, steps, alpha, m):
+    """RK4 on the gauge-reduced (beta, gamma, Re zeta, Im zeta) system at momentum m.
 
-    Records ``t0 + i*dt`` and the state every ``stride`` steps and after the
-    last step; returns the times and a float ``(records, 4)`` array.  Python
-    floats, unlike complex numbers, take the interpreter's specialised
-    arithmetic, so the gauge-reduced systems carry zeta as two reals.
+    dzeta = -(alpha + iM) zeta + i(3 gamma - beta) zeta - 2i beta gamma M
+    + i gamma^2 (M - gamma + 3 beta).  ``steps`` lists the step counts to
+    record at, the first 0; returns the states there as a float
+    ``(len(steps), 4)`` array.  The right-hand side is written out once per
+    stage, so a step makes no Python call, and zeta is carried as two reals,
+    which take the interpreter's specialised float arithmetic.
     """
-    w, x, y, z = y0
+    beta, gamma, zr, zi = y0
     h = 0.5 * dt
     h6 = dt / 6.0
-    steps = _record_steps(n_steps, stride)
+    # Left-to-right evaluation forms these first (-alpha * zr, -2.0 * alpha * beta),
+    # so hoisting them keeps every bit.
+    na = -alpha
+    k = -2.0 * alpha
     out = np.empty((len(steps), 4))
     out[0] = y0
-    j = 1
-    for i in range(1, n_steps + 1):
-        a1, b1, c1, d1 = f(w, x, y, z)
-        a2, b2, c2, d2 = f(w + h * a1, x + h * b1, y + h * c1, z + h * d1)
-        a3, b3, c3, d3 = f(w + h * a2, x + h * b2, y + h * c2, z + h * d2)
-        a4, b4, c4, d4 = f(w + dt * a3, x + dt * b3, y + dt * c3, z + dt * d3)
-        w += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        x += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        y += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        z += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        if i % stride == 0 or i == n_steps:
-            out[j] = w, x, y, z
-            j += 1
-    return t0 + np.array(steps) * dt, out
+    for j in range(1, len(steps)):
+        for _ in range(steps[j] - steps[j - 1]):
+            s = 3.0 * gamma - beta
+            b1 = k * beta + 2.0 * zi
+            g1 = -2.0 * zi
+            r1 = na * zr + m * zi - s * zi
+            i1 = (na * zi - m * zr + s * zr - 2.0 * beta * gamma * m
+                  + gamma * gamma * (m - gamma + 3.0 * beta))
+            b = beta + h * b1
+            g = gamma + h * g1
+            r = zr + h * r1
+            i = zi + h * i1
+            s = 3.0 * g - b
+            b2 = k * b + 2.0 * i
+            g2 = -2.0 * i
+            r2 = na * r + m * i - s * i
+            i2 = na * i - m * r + s * r - 2.0 * b * g * m + g * g * (m - g + 3.0 * b)
+            b = beta + h * b2
+            g = gamma + h * g2
+            r = zr + h * r2
+            i = zi + h * i2
+            s = 3.0 * g - b
+            b3 = k * b + 2.0 * i
+            g3 = -2.0 * i
+            r3 = na * r + m * i - s * i
+            i3 = na * i - m * r + s * r - 2.0 * b * g * m + g * g * (m - g + 3.0 * b)
+            b = beta + dt * b3
+            g = gamma + dt * g3
+            r = zr + dt * r3
+            i = zi + dt * i3
+            s = 3.0 * g - b
+            b4 = k * b + 2.0 * i
+            g4 = -2.0 * i
+            r4 = na * r + m * i - s * i
+            i4 = na * i - m * r + s * r - 2.0 * b * g * m + g * g * (m - g + 3.0 * b)
+            beta += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            gamma += h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            zr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            zi += h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
+        out[j] = beta, gamma, zr, zi
+    return out
 
 
-def _rk4_complex(f, y0, t0, dt, n_steps, stride):
-    """:func:`_rk4` on a triple of complex scalars, ``f(x, y, z) -> (dx, dy, dz)``.
+def _rk4_w(y0, dt, steps, alpha):
+    """RK4 on the (b, c, p) system, recorded as :func:`_rk4_reduced` records, into
+    a complex ``(len(steps), 3)`` array.
 
-    The (b, c, p) system has six real unknowns, so it keeps this loop: one
-    six-real loop for all three systems would slow the four-real ones.
-    Returns the times and a complex ``(records, 3)`` array.
+    The momentum M = |c|^2 / (1 - |p|^2)^2 is recomputed at every stage.  The
+    system has six real unknowns, so it keeps complex scalars: a six-real
+    loop would slow it.
     """
-    x, y, z = y0
+    b, c, p = y0
     h = 0.5 * dt
     h6 = dt / 6.0
-    steps = _record_steps(n_steps, stride)
+    na = -alpha
     out = np.empty((len(steps), 3), dtype=complex)
     out[0] = y0
-    j = 1
-    for i in range(1, n_steps + 1):
-        a1, b1, c1 = f(x, y, z)
-        a2, b2, c2 = f(x + h * a1, y + h * b1, z + h * c1)
-        a3, b3, c3 = f(x + h * a2, y + h * b2, z + h * c2)
-        a4, b4, c4 = f(x + dt * a3, y + dt * b3, z + dt * c3)
-        x += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
-        y += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-        z += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-        if i % stride == 0 or i == n_steps:
-            out[j] = x, y, z
-            j += 1
-    return t0 + np.array(steps) * dt, out
+    for j in range(1, len(steps)):
+        for _ in range(steps[j] - steps[j - 1]):
+            gt = 1.0 - (p.real * p.real + p.imag * p.imag)
+            m = (c.real * c.real + c.imag * c.imag) / (gt * gt)
+            bb = b.real * b.real + b.imag * b.imag
+            b1 = na * b - 1j * ((bb + 2.0 * m * gt) * b + m * c * p.conjugate())
+            c1 = -1j * ((2.0 * bb + m) * c + 2.0 * m * gt * b * p)
+            p1 = -1j * (m * gt * p + c * b.conjugate())
+            x = b + h * b1
+            y = c + h * c1
+            z = p + h * p1
+            gt = 1.0 - (z.real * z.real + z.imag * z.imag)
+            m = (y.real * y.real + y.imag * y.imag) / (gt * gt)
+            bb = x.real * x.real + x.imag * x.imag
+            b2 = na * x - 1j * ((bb + 2.0 * m * gt) * x + m * y * z.conjugate())
+            c2 = -1j * ((2.0 * bb + m) * y + 2.0 * m * gt * x * z)
+            p2 = -1j * (m * gt * z + y * x.conjugate())
+            x = b + h * b2
+            y = c + h * c2
+            z = p + h * p2
+            gt = 1.0 - (z.real * z.real + z.imag * z.imag)
+            m = (y.real * y.real + y.imag * y.imag) / (gt * gt)
+            bb = x.real * x.real + x.imag * x.imag
+            b3 = na * x - 1j * ((bb + 2.0 * m * gt) * x + m * y * z.conjugate())
+            c3 = -1j * ((2.0 * bb + m) * y + 2.0 * m * gt * x * z)
+            p3 = -1j * (m * gt * z + y * x.conjugate())
+            x = b + dt * b3
+            y = c + dt * c3
+            z = p + dt * p3
+            gt = 1.0 - (z.real * z.real + z.imag * z.imag)
+            m = (y.real * y.real + y.imag * y.imag) / (gt * gt)
+            bb = x.real * x.real + x.imag * x.imag
+            b4 = na * x - 1j * ((bb + 2.0 * m * gt) * x + m * y * z.conjugate())
+            c4 = -1j * ((2.0 * bb + m) * y + 2.0 * m * gt * x * z)
+            p4 = -1j * (m * gt * z + y * x.conjugate())
+            b += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
+            c += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
+            p += h6 * (p1 + 2 * p2 + 2 * p3 + p4)
+        out[j] = b, c, p
+    return out
 
 
 def _complex_column(re, im):
@@ -289,8 +316,9 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
     Warns when a recorded |p| comes within 1e-6 of 1 (the explosion regime
     outruns the parameterisation, though the ODE itself stays finite).
     """
-    ts, rows = _rk4_complex(lambda b, c, p: w_rhs(b, c, p, alpha), (w0.b, w0.c, w0.p),
-                            0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
+    steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
+    ts = np.array(steps) * dt
+    rows = _rk4_w((w0.b, w0.c, w0.p), dt, steps, alpha)
     # Python abs, as np.abs can differ by an ulp, which 1 - |p|^2 amplifies
     cp = [(abs(c), abs(p)) for _, c, p in rows.tolist()]
     near = [t for t, (_, ap) in zip(ts, cp) if ap > 1.0 - 1e-6]
@@ -310,11 +338,11 @@ def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end
                       record_stride: int = 1) -> ReducedTrajectory:
     """RK4 on the (beta, gamma, zeta) system at fixed momentum."""
     zeta = complex(r0.zeta)
-    ts, rows = _rk4(lambda b, g, zr, zi: reduced_rhs(b, g, zr, zi, alpha, m),
-                    (float(r0.beta), float(r0.gamma), zeta.real, zeta.imag),
-                    0.0, dt, _n_steps(dt, t_end, record_stride), record_stride)
+    steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
+    rows = _rk4_reduced((float(r0.beta), float(r0.gamma), zeta.real, zeta.imag), dt, steps,
+                        alpha, m)
     return ReducedTrajectory(
-        t=ts,
+        t=np.array(steps) * dt,
         beta=rows[:, 0],
         gamma=rows[:, 1],
         zeta=_complex_column(rows[:, 2], rows[:, 3]),
@@ -419,18 +447,72 @@ def _delta_form_q(beta, delta, zr, zi, m):
     )
 
 
-def _delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float, m: float):
-    """Derivatives (dbeta, ddelta, dzr, dzi) of X = (beta, delta, Re zeta, Im zeta): -A X + Q(X).
+def _rk4_delta(y0, dt, steps, alpha, m):
+    """RK4 on X = (beta, delta, Re zeta, Im zeta), dX/dt = -A X + Q(X), recorded as
+    :func:`_rk4_reduced` records.
 
-    Integrating delta = M - gamma itself keeps its relative accuracy near the circle.
+    Integrating delta = M - gamma itself keeps its relative accuracy near the
+    circle; :func:`_delta_form_q` is Q, written out here once per stage.
     """
-    qr, qi = _delta_form_q(beta, delta, zr, zi, m)
-    return (
-        -2.0 * alpha * beta + 2.0 * zi,
-        2.0 * zi,
-        -alpha * zr - 2.0 * m * zi + qr,
-        m * m * (beta + delta) + 2.0 * m * zr - alpha * zi + qi,
-    )
+    beta, delta, zr, zi = y0
+    h = 0.5 * dt
+    h6 = dt / 6.0
+    # formed first, as in _rk4_reduced: 2.0 * m * zr, 4.0 * m * beta * delta, m * m * (...)
+    na = -alpha
+    k = -2.0 * alpha
+    m2 = 2.0 * m
+    m4 = 4.0 * m
+    mm = m * m
+    out = np.empty((len(steps), 4))
+    out[0] = y0
+    for j in range(1, len(steps)):
+        for _ in range(steps[j] - steps[j - 1]):
+            s = beta + 3.0 * delta
+            sq = delta**2
+            b1 = k * beta + 2.0 * zi
+            d1 = 2.0 * zi
+            r1 = na * zr - m2 * zi + s * zi
+            i1 = (mm * (beta + delta) + m2 * zr - alpha * zi
+                  + (-s * zr - m2 * sq - m4 * beta * delta + delta**3 + 3.0 * beta * sq))
+            b = beta + h * b1
+            d = delta + h * d1
+            r = zr + h * r1
+            i = zi + h * i1
+            s = b + 3.0 * d
+            sq = d**2
+            b2 = k * b + 2.0 * i
+            d2 = 2.0 * i
+            r2 = na * r - m2 * i + s * i
+            i2 = (mm * (b + d) + m2 * r - alpha * i
+                  + (-s * r - m2 * sq - m4 * b * d + d**3 + 3.0 * b * sq))
+            b = beta + h * b2
+            d = delta + h * d2
+            r = zr + h * r2
+            i = zi + h * i2
+            s = b + 3.0 * d
+            sq = d**2
+            b3 = k * b + 2.0 * i
+            d3 = 2.0 * i
+            r3 = na * r - m2 * i + s * i
+            i3 = (mm * (b + d) + m2 * r - alpha * i
+                  + (-s * r - m2 * sq - m4 * b * d + d**3 + 3.0 * b * sq))
+            b = beta + dt * b3
+            d = delta + dt * d3
+            r = zr + dt * r3
+            i = zi + dt * i3
+            s = b + 3.0 * d
+            sq = d**2
+            b4 = k * b + 2.0 * i
+            d4 = 2.0 * i
+            r4 = na * r - m2 * i + s * i
+            i4 = (mm * (b + d) + m2 * r - alpha * i
+                  + (-s * r - m2 * sq - m4 * b * d + d**3 + 3.0 * b * sq))
+            beta += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            delta += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            zr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+            zi += h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
+        out[j] = beta, delta, zr, zi
+    return out
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -511,17 +593,14 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     # backward to t_end_back, then forward again as the round-trip check
     n_steps = max(1, int(round((t_start - t_end_back) / 2.5e-4)))
     step = (t_start - t_end_back) / n_steps
-
-    def rhs(beta, delta, zr, zi):
-        return _delta_rhs(beta, delta, zr, zi, alpha, m)
-
-    back_t, back = _rk4(rhs, seed.tolist(), t_start, -step, n_steps, 1)
-    forward = _rk4(rhs, back[-1].tolist(), t_end_back, step, n_steps, n_steps)[1][-1]
+    steps = _record_steps(n_steps, 1)
+    back = _rk4_delta(seed.tolist(), -step, steps, alpha, m)
+    forward = _rk4_delta(back[-1].tolist(), step, [0, n_steps], alpha, m)[-1]
     roundtrip = float(np.max(np.abs(forward - seed)))
 
     rows = back[::-1]
     return StableManifoldResult(
-        t=back_t[::-1],
+        t=(t_start + np.array(steps) * -step)[::-1],
         beta=rows[:, 0],
         delta=rows[:, 1],
         zeta=_complex_column(rows[:, 2], rows[:, 3]),

@@ -2,7 +2,10 @@
 
 Most are independent brute-force computations.  ``gram_h`` and ``rhs`` are
 thin wrappers over the package's Gram and band kernels, so the tests built
-on them still exercise the package code.
+on them still exercise the package code; ``delta_rhs`` reads its Q from the
+package's ``_delta_form_q``.  ``w_rhs``, ``reduced_rhs`` and ``delta_rhs``
+with ``reference_rk4`` are the per-stage forms of the package's fused RK4
+loops.
 """
 
 import numpy as np
@@ -10,7 +13,12 @@ import numpy as np
 from damped_szego.hankel import _gram, eigenvalues, explosion_criterion, gram_k, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
 from damped_szego.solver import _extent, _grid, _rhs_coeffs
-from damped_szego.wmanifold import ReducedState, linearization_matrix, w_rhs
+from damped_szego.wmanifold import ReducedState, _delta_form_q, linearization_matrix
+
+
+def fmt(x) -> str:
+    """One CSV cell: ``x`` as a float with 17 significant digits."""
+    return format(float(x), ".17g")
 
 
 def hs_norm_sq(u: HardyState, s: float) -> float:
@@ -152,6 +160,66 @@ def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, rati
             if loss_time is None and a[-1] > ratio * a.max() > 0:
                 loss_time = i * dt
     return np.array(rows), loss_time, c
+
+
+def w_rhs(b: complex, c: complex, p: complex, alpha: float):
+    """Time derivatives (db, dc, dp); the momentum is recomputed each call."""
+    gt = 1.0 - (p.real * p.real + p.imag * p.imag)
+    m = (c.real * c.real + c.imag * c.imag) / (gt * gt)
+    bb = b.real * b.real + b.imag * b.imag
+    db = -alpha * b - 1j * ((bb + 2.0 * m * gt) * b + m * c * p.conjugate())
+    dc = -1j * ((2.0 * bb + m) * c + 2.0 * m * gt * b * p)
+    dp = -1j * (m * gt * p + c * b.conjugate())
+    return db, dc, dp
+
+
+def reduced_rhs(beta: float, gamma: float, zr: float, zi: float, alpha: float, m: float):
+    """Derivatives (dbeta, dgamma, dzr, dzi) of the gauge-reduced system at momentum m.
+
+    zr and zi are the real and imaginary parts of zeta; dzeta = -(alpha + iM) zeta
+    + i(3 gamma - beta) zeta - 2i beta gamma M + i gamma^2 (M - gamma + 3 beta).
+    """
+    s = 3.0 * gamma - beta
+    return (
+        -2.0 * alpha * beta + 2.0 * zi,
+        -2.0 * zi,
+        -alpha * zr + m * zi - s * zi,
+        -alpha * zi - m * zr + s * zr - 2.0 * beta * gamma * m
+        + gamma * gamma * (m - gamma + 3.0 * beta),
+    )
+
+
+def delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float, m: float):
+    """Derivatives (dbeta, ddelta, dzr, dzi) of X = (beta, delta, Re zeta, Im zeta): -A X + Q(X)."""
+    qr, qi = _delta_form_q(beta, delta, zr, zi, m)
+    return (
+        -2.0 * alpha * beta + 2.0 * zi,
+        2.0 * zi,
+        -alpha * zr - 2.0 * m * zi + qr,
+        m * m * (beta + delta) + 2.0 * m * zr - alpha * zi + qi,
+    )
+
+
+def reference_rk4(f, y0, dt, n_steps, stride):
+    """Classical RK4 on four real scalars, ``f(w, x, y, z) -> (dw, dx, dy, dz)``,
+    one call of ``f`` per stage; the states every ``stride`` steps and after
+    the last, as a float ``(records, 4)`` array."""
+    w, x, y, z = y0
+    h = 0.5 * dt
+    h6 = dt / 6.0
+    rows = [(w, x, y, z)]
+    for i in range(1, n_steps + 1):
+        a1, b1, c1, d1 = f(w, x, y, z)
+        a2, b2, c2, d2 = f(w + h * a1, x + h * b1, y + h * c1, z + h * d1)
+        a3, b3, c3, d3 = f(w + h * a2, x + h * b2, y + h * c2, z + h * d2)
+        a4, b4, c4, d4 = f(w + dt * a3, x + dt * b3, y + dt * c3, z + dt * d3)
+        w += h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        x += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        y += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        z += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        if i % stride == 0 or i == n_steps:
+            rows.append((w, x, y, z))
+    return np.array(rows)
 
 
 def reference_integrate_w(w0, alpha, dt, t_end, stride):

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import damped_szego
 from damped_szego.cli import _simulate_overrides, build_parser
@@ -25,6 +27,7 @@ from damped_szego.presets import (
 )
 from damped_szego.reporting import csv_table, spectrum_csv
 from damped_szego.wmanifold import asymptotic_constants
+from helpers import fmt
 
 
 # The child interpreter imports the package from where this one found it.
@@ -188,6 +191,16 @@ def test_csv_table_formats_every_cell():
         "index,eigenvalue,multiplicity\n1,1.7777777777777777,1\n2,0.25,2\n"
     )
     assert csv_table([("t", []), ("x", [])]) == "t,x\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.integers(-10**20, 10**20)), max_size=20))
+def test_csv_table_matches_per_cell_formatter(rows):
+    xs = np.array([x for x, _ in rows], dtype=float)
+    ns = [n for _, n in rows]
+    counts = np.array([n % 1000 for n in ns], dtype=np.int64)
+    assert csv_table([("x", xs), ("n", ns), ("k", counts)]) == "x,n,k\n" + "".join(
+        f"{fmt(x)},{fmt(n)},{fmt(k)}\n" for x, n, k in zip(xs, ns, counts))
 
 
 def test_build_config_rejects_unknown_preset():
@@ -590,6 +603,9 @@ def test_baby_reads_m_from_initial_data():
     # the rank-one run needs a finite damping and growth exponent
     (["wode", "--alpha", "inf"], "alpha"),
     (["wode", "--s", "inf"], "s"),
+    # a finite alpha or M too large for the closed-form constants
+    (["simulate", "--preset", "kappa_fit", "--alpha", "1e300"], "alpha"),
+    (["simulate", "--preset", "stable_manifold", "--m", "1e300"], "m"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -606,6 +622,10 @@ def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     (["--alpha", "inf"], "alpha"),
     (["--m", "inf"], "m"),
     (["--s", "inf"], "s"),
+    # the closed-form constants and the H^s growth coefficient overflow
+    (["--alpha", "1", "--m", "1e200"], "m"),
+    (["--alpha", "1e300"], "alpha"),
+    (["--m", "1e10", "--s", "100"], "s"),
 ])
 def test_cli_verify_rejects_non_positive_alpha_and_m(argv, field):
     proc = run_cli("verify", *argv)

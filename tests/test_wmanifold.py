@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,22 +27,24 @@ from damped_szego.wmanifold import (
     integrate_w,
     linearization_matrix,
     linearized_q0,
-    reduced_rhs,
     sobolev_sq_w,
     stable_manifold_trajectory,
-    w_rhs,
     w_to_hardy,
 )
-from damped_szego.wmanifold import _delta_rhs, _rk4
+from damped_szego.wmanifold import _record_steps, _rk4_delta, _rk4_reduced, _rk4_w
 from helpers import (
     complex_delta_rhs,
     complex_reduced_rhs,
+    delta_rhs,
     finite_diff,
     hs_norm_sq,
     reduced_from_w,
+    reduced_rhs,
     reference_delta_run,
     reference_integrate_reduced,
     reference_integrate_w,
+    reference_rk4,
+    w_rhs,
 )
 
 PARAM_GRID = [(a, m) for a in (1.0, 2.0) for m in (1.0, 16.0 / 9.0, 3.0)]
@@ -177,7 +181,7 @@ def test_delta_form_matches_gamma_form():
     alpha, m = 1.0, 1.5
     beta, delta = 0.04, 0.03
     zr, zi = 0.01, -0.02
-    db, dd, dzr, dzi = _delta_rhs(beta, delta, zr, zi, alpha, m)
+    db, dd, dzr, dzi = delta_rhs(beta, delta, zr, zi, alpha, m)
     rb, rg, rzr, rzi = reduced_rhs(beta, m - delta, zr, zi, alpha, m)
     assert abs(db - rb) < 1e-14
     assert abs(dd - (-rg)) < 1e-14
@@ -187,7 +191,7 @@ def test_delta_form_matches_gamma_form():
     eps = 1e-7
     x = np.array([beta, delta, zr, zi])
     a_mat, _ = linearization_matrix(alpha, m)
-    lin = np.array(_delta_rhs(*(eps * x).tolist(), alpha, m)) / eps
+    lin = np.array(delta_rhs(*(eps * x).tolist(), alpha, m)) / eps
     assert np.max(np.abs(lin + a_mat @ x)) < 1e-8
 
 
@@ -206,7 +210,7 @@ def test_real_rhs_equal_complex_oracles_bitwise(beta, gamma, zr, zi, alpha, m):
     assert np.array_equal(reduced_rhs(beta, gamma, zr, zi, alpha, m),
                           [db, dg, dz.real, dz.imag])
     db, dd, dz = complex_delta_rhs(beta, gamma, zeta, alpha, m)
-    assert np.array_equal(_delta_rhs(beta, gamma, zr, zi, alpha, m),
+    assert np.array_equal(delta_rhs(beta, gamma, zr, zi, alpha, m),
                           [db, dd, dz.real, dz.imag])
 
 
@@ -328,6 +332,76 @@ def test_stable_manifold_matches_reference_run():
     assert np.max(np.abs(got - want) / np.abs(want).max(axis=0)) < 1e-14
 
 
+# (n_steps, stride): a single step, a stride past the end, a partial last chunk
+RUN_SHAPES = [(1, 1), (1, 4), (5, 9), (10, 3), (12, 4), (37, 1)]
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("n_steps, stride", RUN_SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(beta=st.floats(0.0, 1.0), gamma=_UNIT, zr=_UNIT, zi=_UNIT, alpha=st.floats(0.0, 2.0),
+       m=st.floats(0.1, 3.0), dt=st.floats(1e-3, 0.02), backward=st.booleans())
+def test_fused_real_loops_equal_references_bitwise(n_steps, stride, beta, gamma, zr, zi,
+                                                   alpha, m, dt, backward):
+    dt = -dt if backward else dt
+    steps = _record_steps(n_steps, stride)
+    y0 = (beta, gamma, zr, zi)
+    got = _rk4_reduced(y0, dt, steps, alpha, m)
+    want = reference_rk4(lambda *x: reduced_rhs(*x, alpha, m), y0, dt, n_steps, stride)
+    assert got.tobytes() == want.tobytes()
+    _, rb, rg, rz = reference_integrate_reduced(ReducedState(beta, gamma, complex(zr, zi)),
+                                                alpha, m, dt, n_steps * dt, stride)
+    assert np.array_equal(got, np.column_stack([rb, rg, rz.real, rz.imag]))
+    # gamma doubles as delta
+    got = _rk4_delta(y0, dt, steps, alpha, m)
+    want = reference_rk4(lambda *x: delta_rhs(*x, alpha, m), y0, dt, n_steps, stride)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_steps, stride", RUN_SHAPES)
+@settings(max_examples=20, deadline=None)
+@given(b=st.complex_numbers(max_magnitude=1.0),
+       c=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+       p=st.complex_numbers(max_magnitude=0.7), alpha=st.floats(0.0, 2.0),
+       dt=st.floats(1e-3, 0.02), backward=st.booleans())
+def test_fused_w_loop_equals_reference_bitwise(n_steps, stride, b, c, p, alpha, dt, backward):
+    dt = -dt if backward else dt
+    w0 = WState(b, c, p)
+    got = _rk4_w((w0.b, w0.c, w0.p), dt, _record_steps(n_steps, stride), alpha)
+    _, rb, rc, rp, _ = reference_integrate_w(w0, alpha, dt, n_steps * dt, stride)
+    assert got.tobytes() == np.column_stack([rb, rc, rp]).tobytes()
+
+
+def _python_calls(run):
+    """Python function calls (profiler "call" events) made while ``run()`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_rank_one_loops_make_no_python_call_per_step():
+    # doubling the steps at the same record count must not add a call
+    r0, w0 = ReducedState(0.0, 1.5, 0j), W_STATES[2]
+    runs = [
+        lambda n: integrate_reduced(r0, 1.0, 2.0, 1e-3, n * 1e-3, record_stride=n // 10),
+        lambda n: integrate_w(w0, 1.0, 1e-3, n * 1e-3, record_stride=n // 10),
+        lambda n: _rk4_delta((0.01, 0.005, 0.0, -0.001), -1e-3, _record_steps(n, n // 10),
+                             1.0, 2.0),
+    ]
+    for run in runs:
+        assert _python_calls(lambda: run(1000)) == _python_calls(lambda: run(2000)) > 0
+
+
 @pytest.mark.parametrize("system", ["w", "reduced", "delta"])
 def test_ode_rk4_halving_dt_gains_factor_16(system):
     w0 = W_STATES[2]
@@ -341,8 +415,7 @@ def test_ode_rk4_halving_dt_gains_factor_16(system):
             return np.array([traj.b[-1], traj.c[-1], traj.p[-1]])
         if system == "delta":
             x0 = (r0.beta, m - r0.gamma, r0.zeta.real, r0.zeta.imag)
-            n = round(t_end / dt)
-            return _rk4(lambda *x: _delta_rhs(*x, 1.0, m), x0, 0.0, dt, n, n)[1][-1]
+            return _rk4_delta(x0, dt, [0, round(t_end / dt)], 1.0, m)[-1]
         traj = integrate_reduced(r0, 1.0, m, dt, t_end, record_stride=10**9)
         return np.array([traj.beta[-1], traj.gamma[-1], traj.zeta[-1]])
 
