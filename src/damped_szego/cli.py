@@ -124,6 +124,14 @@ def _cmd_spectrum(args):
     return 0
 
 
+def _momentum_finite(c, p) -> bool:
+    """Whether the momentum |c|^2/(1-|p|^2)^2 of (b, c, p) is a finite float; it can overflow."""
+    try:
+        return math.isfinite(WState(0, c, p).momentum)
+    except (ArithmeticError, SzegoError):
+        return False
+
+
 def _cmd_wode(args):
     require({
         "dt": (0 < args.dt < math.inf, "dt must be positive and finite"),
@@ -134,7 +142,8 @@ def _cmd_wode(args):
               "s must be finite and > 1/2: the growth fit compares with t^(2s-1)"),
         "b": (cmath.isfinite(args.b), "b must be finite"),
         "p": (abs(args.p) < 1, "|p| must be < 1"),
-        "c": (cmath.isfinite(args.c) and args.c != 0, "c must be finite and nonzero"),
+        "c": (cmath.isfinite(args.c) and args.c != 0 and _momentum_finite(args.c, args.p),
+              "c must be finite and nonzero, with a finite momentum |c|^2/(1-|p|^2)^2"),
     })
     w0 = WState(b=args.b, c=args.c, p=args.p)
     traj = integrate_w(w0, args.alpha, args.dt, args.t_end, record_stride=args.record_stride)

@@ -9,11 +9,15 @@ against to certify norm explosion.
 The Gram matrix is built from its Hankel structure.  With m = n + d,
 A[n, n+d] = sum_{j>=n} c(j) conj c(j+d) is a tail sum along the lag d.  The
 head products j < size fill a size x size block; one vector along d holds the
-sum of the terms j >= size.  A reverse cumulative sum over j, started from
-that vector, gives the upper triangle, so decaying data add their small
-terms first; the lower triangle is its conjugate mirror.  For K coefficients
-this takes O(size^2 + K size) work and O(size^2 + K) memory, and the result
-is exactly Hermitian with a real diagonal.
+sum of the terms j >= size.  A running sum up the rows, tail[j] += tail[j+1]
+started from that vector, gives the tail sums, so decaying data add their
+small terms first; each row add runs over contiguous memory.  The block is
+stored sheared, row n at offset n (size + 1) of one buffer, so that read as a
+size x size matrix its row n lands on A[n, n:]: the upper triangle is in
+place without an index array, and what spills past it falls in the strict
+lower triangle, which is then overwritten by the conjugate mirror.  For K
+coefficients this takes O(size^2 + K size) work and O(size^2 + K) memory,
+and the result is exactly Hermitian with a real diagonal.
 
 The K_u^2 eigenvalues are computed on the Gram's numerical-rank block.  The
 Gram is R R^* for its rows R, and its diagonal d[n] = sum_{j>=n} |c(j)|^2
@@ -108,16 +112,16 @@ def _gram(c: np.ndarray, size: int) -> np.ndarray:
     pad = np.zeros(max(avail, size) + size - 1, dtype=complex)
     pad[:avail] = c
     lag = sliding_window_view(pad.conj(), size)  # lag[j, d] = conj c(j+d)
-    head = pad[:size, None] * lag[:size]
-    head[-1] += pad[size:avail] @ lag[size:avail]
-    tail = np.cumsum(head[::-1], axis=0)[::-1]
+    sheared = np.empty((size, size + 1), dtype=complex)
+    tail = sheared[:, :size]  # tail[n, d] sums the lag-d products j >= n
+    np.multiply(pad[:size, None], lag[:size], out=tail)
+    tail[-1] += pad[size:avail] @ lag[size:avail]
+    for j in range(size - 2, -1, -1):
+        tail[j] += tail[j + 1]
     # The diagonal sums |c(j)|^2; a fused multiply-add may leave roundoff in its imaginary part.
     tail[:, 0] = tail[:, 0].real
-    n, m = np.triu_indices(size)
-    upper = tail[n, m - n]
-    a = np.empty((size, size), dtype=complex)
-    a[m, n] = upper.conj()
-    a[n, m] = upper
+    a = sheared.reshape(-1)[: size * size].reshape(size, size)  # a[n, n+d] = tail[n, d]
+    np.copyto(a, a.T.conj(), where=np.tri(size, size, -1, dtype=bool))
     return a
 
 

@@ -86,7 +86,7 @@ class ExperimentConfig:
     beta_inf: float = 1.0
     t_start: float = None
     t_end_back: float = 0.0
-    ode_dt: float = 1e-3
+    ode_dt: float = 1e-2  # read by kappa_fit only
 
     def later_snapshots(self):
         """The snapshot times in (0, t_end]."""

@@ -515,6 +515,11 @@ def _rk4_delta(y0, dt, steps, alpha, m):
     return out
 
 
+# RK4 step of the stable manifold's backward run and its forward round trip.  Halving it
+# moves the gated fit values by about 1e-10 relative (test_ode_presets_are_step_converged).
+BACKWARD_STEP = 1e-3
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eig(a)
     return (v @ np.diag(np.exp(w)) @ np.linalg.inv(v)).real
@@ -533,7 +538,8 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     2. refines it on a grid of step 1e-3 by at most 60 sweeps of the fixed point
        X(t) = e^{-tA} X_inf - int_t^inf e^{(s-t)A} Q(X(s)) ds
        until the e^{(a+alpha)t}-weighted sup norm moves less than 1e-12 max(beta_inf, 1),
-    3. integrates the ODE backward to ``t_end_back`` with RK4 at step 2.5e-4, and
+    3. integrates the ODE backward to ``t_end_back`` with RK4 at step
+       ``BACKWARD_STEP`` (1e-3), and
     4. re-integrates forward as a round-trip consistency check.
 
     ``t_start`` defaults to the time where the leading profile has decayed
@@ -591,7 +597,7 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     seed = x[0].copy()
 
     # backward to t_end_back, then forward again as the round-trip check
-    n_steps = max(1, int(round((t_start - t_end_back) / 2.5e-4)))
+    n_steps = max(1, int(round((t_start - t_end_back) / BACKWARD_STEP)))
     step = (t_start - t_end_back) / n_steps
     steps = _record_steps(n_steps, 1)
     back = _rk4_delta(seed.tolist(), -step, steps, alpha, m)
@@ -637,22 +643,38 @@ def delta_beta_ratio(result: StableManifoldResult) -> tuple:
 # Sobolev growth along rank-one trajectories
 # ---------------------------------------------------------------------------
 
+# The most terms sobolev_sq_w adds for s != 1.
+_MAX_SUM_TERMS = 1 << 24
+
+
 def sobolev_sq_w(b: complex, c: complex, p: complex, s: float) -> float:
-    """Exact squared H^s norm |b|^2 + |c|^2 sum_{k>=1} (1+k^2)^s |p|^{2(k-1)}."""
+    """Exact squared H^s norm |b|^2 + |c|^2 sum_{k>=1} (1+k^2)^s r^(k-1), r = |p|^2.
+
+    For s = 1 the sum is 1/(1-r) + (1+r)/(1-r)^3.  For other s it is summed
+    in chunks, each term formed as exp(s log(1+k^2) + (k-1) log r), so that no
+    factor overflows into inf * 0; a norm beyond the float range is inf.
+    Raises :class:`FitError` if the sum has not converged in 2^24 terms.
+    """
     r = abs(p) ** 2
     if r >= 1:
         raise ValueError("|p| must be < 1")
     total = abs(b) ** 2
     amp = abs(c) ** 2
-    k0 = 1
-    chunk = 512
-    while True:
-        k = np.arange(k0, k0 + chunk, dtype=float)
-        terms = amp * (1.0 + k * k) ** s * r ** (k - 1.0)
-        total += float(terms.sum())
-        if terms[-1] < 1e-17 * max(total, 1e-300) and k0 > 2 * s + 2:
-            return total
-        k0 += chunk
+    if s == 1.0:
+        return total + amp * (1.0 / (1.0 - r) + (1.0 + r) / (1.0 - r) ** 3)
+    with np.errstate(over="ignore"):
+        if r == 0.0:  # only the k = 1 term is nonzero
+            return total + amp * float(np.exp(s * math.log(2.0)))
+        log_r = math.log(r)
+        chunk = 512
+        for k0 in range(1, _MAX_SUM_TERMS, chunk):
+            k = np.arange(k0, k0 + chunk, dtype=float)
+            terms = amp * np.exp(s * np.log1p(k * k) + (k - 1.0) * log_r)
+            total += float(terms.sum())
+            if math.isinf(total) or (terms[-1] < 1e-17 * max(total, 1e-300) and k0 > 2 * s + 2):
+                return total
+    raise FitError(f"the H^{s:g} sum at |p|^2 = {r!r} has not converged in "
+                   f"{_MAX_SUM_TERMS} terms")
 
 
 @dataclass
@@ -691,6 +713,8 @@ def growth_fit(traj: WTrajectory, constants: AsymptoticConstants, s: float) -> G
             for i in np.nonzero(mask)[0]
         ]
     )
+    if not np.all(np.isfinite(hs)):
+        raise FitError(f"the squared H^{s:g} norm overflows a float in the fit window")
     slope, _ = loglog_fit(traj.t[mask], hs)
     prefactor = float(np.exp(np.mean(np.log(hs) - (2.0 * s - 1.0) * np.log(traj.t[mask]))))
     target_slope = 2.0 * s - 1.0

@@ -1,6 +1,8 @@
 """Oracles and fixtures used by the test suite only.
 
-Most are independent brute-force computations.  ``gram_h`` and ``rhs`` are
+Most are independent brute-force computations.  ``reference_gram`` and
+``reference_sobolev_sq_w`` are earlier forms of the package's Gram build and
+H^s sum, kept as oracles for their rewrites.  ``gram_h`` and ``rhs`` are
 thin wrappers over the package's Gram and band kernels, so the tests built
 on them still exercise the package code; ``delta_rhs`` reads its Q from the
 package's ``_delta_form_q``.  ``w_rhs``, ``reduced_rhs`` and ``delta_rhs``
@@ -9,6 +11,7 @@ loops.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from damped_szego.hankel import _gram, eigenvalues, explosion_criterion, gram_k, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
@@ -86,6 +89,42 @@ def dense_gram(coeffs: np.ndarray, size: int) -> np.ndarray:
         rows[n, : avail - n] = coeffs[n:]
     a = rows @ rows.conj().T
     return 0.5 * (a + a.conj().T)
+
+
+def reference_gram(c: np.ndarray, size: int) -> np.ndarray:
+    """The Hankel-structured Gram by a reverse ``cumsum`` down the rows and an
+    index-array mirror; the package's ``_gram`` must equal it byte for byte."""
+    avail = c.shape[0]
+    pad = np.zeros(max(avail, size) + size - 1, dtype=complex)
+    pad[:avail] = c
+    lag = sliding_window_view(pad.conj(), size)  # lag[j, d] = conj c(j+d)
+    head = pad[:size, None] * lag[:size]
+    head[-1] += pad[size:avail] @ lag[size:avail]
+    tail = np.cumsum(head[::-1], axis=0)[::-1]
+    tail[:, 0] = tail[:, 0].real
+    n, m = np.triu_indices(size)
+    upper = tail[n, m - n]
+    a = np.empty((size, size), dtype=complex)
+    a[m, n] = upper.conj()
+    a[n, m] = upper
+    return a
+
+
+def reference_sobolev_sq_w(b: complex, c: complex, p: complex, s: float) -> float:
+    """|b|^2 + |c|^2 sum_{k>=1} (1+k^2)^s |p|^{2(k-1)}, summed in chunks of 512
+    terms until they fall below 1e-17 of the total (a finite total only)."""
+    r = abs(p) ** 2
+    total = abs(b) ** 2
+    amp = abs(c) ** 2
+    k0 = 1
+    chunk = 512
+    while True:
+        k = np.arange(k0, k0 + chunk, dtype=float)
+        terms = amp * (1.0 + k * k) ** s * r ** (k - 1.0)
+        total += float(terms.sum())
+        if terms[-1] < 1e-17 * max(total, 1e-300) and k0 > 2 * s + 2:
+            return total
+        k0 += chunk
 
 
 def full_k_eigenvalues(u: HardyState, size: int) -> np.ndarray:

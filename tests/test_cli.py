@@ -34,13 +34,14 @@ from helpers import fmt
 _SRC = os.path.dirname(os.path.dirname(damped_szego.__file__))
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "damped_szego", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
     return proc
 
@@ -434,6 +435,15 @@ def test_cli_wode_trajectory(tmp_path):
     assert first[9] == pytest.approx(16.0 / 9.0, rel=1e-12)  # momentum
 
 
+def test_cli_wode_overflowing_norm_is_a_runtime_error(tmp_path):
+    # the squared H^100 norm overflows a float; the sum behind it once met inf * 0 = nan and hung
+    proc = run_cli("wode", "--s", "100", "--t-end", "50", "--out", str(tmp_path / "out"),
+                   timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "overflows a float" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_removed_knobs_are_rejected(tmp_path):
     # t_end = 1000 replaces paper_horizon; every fit reads H^1, so there is no s_fit;
     # spectrum --cluster-tol/--rank-cutoff/--tol set what the last three set
@@ -606,6 +616,8 @@ def test_baby_reads_m_from_initial_data():
     # a finite alpha or M too large for the closed-form constants
     (["simulate", "--preset", "kappa_fit", "--alpha", "1e300"], "alpha"),
     (["simulate", "--preset", "stable_manifold", "--m", "1e300"], "m"),
+    # the momentum |c|^2/(1-|p|^2)^2 must be a finite float
+    (["wode", "--c", "1e200"], "c"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))

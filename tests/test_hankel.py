@@ -26,7 +26,7 @@ from damped_szego.initial_conditions import (
     poles_sum_state,
 )
 from damped_szego.presets import spectrum_report
-from damped_szego.wmanifold import WState, w_to_hardy
+from damped_szego.wmanifold import WState, _complex_column, w_to_hardy
 from helpers import (
     char_poly_eigenvalues,
     criterion,
@@ -34,6 +34,7 @@ from helpers import (
     full_k_eigenvalues,
     gram_h,
     random_hermitian,
+    reference_gram,
 )
 
 
@@ -122,6 +123,38 @@ def test_gram_matches_dense_product(case):
         assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want))
         assert np.array_equal(a, a.conj().T)
         assert np.array_equal(a, gram(u, size))
+
+
+@st.composite
+def raw_gram_inputs(draw):
+    """Coefficients c(0..avail-1) and a Gram size, which may exceed avail."""
+    avail, size = draw(st.integers(0, 64)), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = rng.standard_normal(avail), rng.standard_normal(avail)
+    kind = draw(st.sampled_from(["random", "zero", "signed_zero", "subnormal", "decaying"]))
+    if kind == "zero":
+        re, im = 0.0 * re, 0.0 * im
+    elif kind == "signed_zero":
+        re = np.where(rng.random(avail) < 0.5, -0.0, re)
+        im = np.where(rng.random(avail) < 0.5, -0.0, im)
+    elif kind == "subnormal":
+        re, im = 1e-310 * re, 1e-310 * im
+    elif kind == "decaying":
+        decay = draw(st.floats(0.05, 0.95)) ** np.arange(avail)
+        re, im = decay * re, decay * im
+    return _complex_column(re, im), size
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_gram_inputs())
+@example((np.array([1.5 - 0.5j]), 1))
+@example((np.zeros(0, dtype=complex), 3))
+@example((np.zeros(8, dtype=complex), 8))
+@example((_complex_column(np.array([-0.0, 1.0, -0.0]), np.array([-0.0, -0.0, 2.0])), 5))
+@example((_complex_column(np.full(6, 5e-324), np.full(6, -5e-324)), 4))
+def test_gram_equals_reference_bytewise(case):
+    c, size = case
+    assert hankel._gram(c, size).tobytes() == reference_gram(c, size).tobytes()
 
 
 def test_tail_mass():

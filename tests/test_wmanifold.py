@@ -1,16 +1,19 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from damped_szego import wmanifold
 from damped_szego.errors import (
     FitError,
     FixedPointDivergenceError,
     NotInManifoldError,
 )
 from damped_szego.hardy import GridField, from_grid, grid_points
+from damped_szego.presets import build_config, run_experiment
 from damped_szego.solver import SolverConfig, evolve
 from damped_szego.wmanifold import (
     ReducedState,
@@ -44,6 +47,7 @@ from helpers import (
     reference_integrate_reduced,
     reference_integrate_w,
     reference_rk4,
+    reference_sobolev_sq_w,
     w_rhs,
 )
 
@@ -325,7 +329,7 @@ def test_integrate_reduced_matches_reference_bitwise(w0):
 def test_stable_manifold_matches_reference_run():
     alpha, m = 1.0, 2.0
     res = stable_manifold_trajectory(0.5, alpha, m)
-    t, y = reference_delta_run(res.seed, alpha, m, res.t_start, 0.0, 2.5e-4)
+    t, y = reference_delta_run(res.seed, alpha, m, res.t_start, 0.0, wmanifold.BACKWARD_STEP)
     assert np.array_equal(res.t, t[::-1])
     got = np.column_stack([res.beta, res.delta, res.zeta.real, res.zeta.imag])
     want = y[::-1]
@@ -605,6 +609,68 @@ def test_sobolev_sq_w_matches_coefficient_sum():
         assert sobolev_sq_w(w.b, w.c, w.p, s) == pytest.approx(
             hs_norm_sq(u, s), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("r", [0.0, 1e-8, 0.3, 0.6, 0.9, 0.99, 0.999])
+def test_sobolev_sq_w_closed_form_matches_reference_sum(r):
+    b, c = 0.3 - 0.2j, 1.1 + 0.4j
+    p = np.sqrt(r) * np.exp(0.7j)
+    want = reference_sobolev_sq_w(b, c, p, 1.0)
+    assert abs(sobolev_sq_w(b, c, p, 1.0) - want) <= 1e-12 * want
+    for s in (0.75, 1.5, 2.0, 3.0):
+        want = reference_sobolev_sq_w(b, c, p, s)
+        assert abs(sobolev_sq_w(b, c, p, s) - want) <= 1e-12 * want
+
+
+def test_sobolev_sq_w_forms_no_inf_times_zero():
+    # From k = 4 on, (1+k^2)^300 overflows where |p|^{2(k-1)} underflows; a sum of
+    # their products meets inf * 0 = nan and never stops.  The norm itself is 2^300.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sobolev_sq_w(0.0, 1.0, 1e-150, 300.0) == pytest.approx(2.0**300, rel=1e-12)
+        # beyond the float range
+        assert sobolev_sq_w(0.1, 1.0, 0.999, 100.0) == np.inf
+        assert sobolev_sq_w(0.1, 1.0, 0.0, 2000.0) == np.inf
+
+
+def test_sobolev_sq_w_sum_is_bounded(monkeypatch):
+    monkeypatch.setattr(wmanifold, "_MAX_SUM_TERMS", 4096)
+    with pytest.raises(FitError, match="not converged in 4096 terms"):
+        sobolev_sq_w(0.0, 1.0, 0.9999, 2.0)
+
+
+def test_growth_fit_rejects_an_overflowing_norm():
+    w0 = WState(0, 1.0, 0.5)
+    traj = integrate_w(w0, 1.0, dt=1e-2, t_end=50.0, record_stride=10)
+    consts = asymptotic_constants(1.0, w0.momentum)
+    with pytest.raises(FitError, match="overflows a float"):
+        growth_fit(traj, consts, s=100.0)
+
+
+def _halve_ode_dt(monkeypatch):
+    return {"ode_dt": build_config("kappa_fit").ode_dt / 2}
+
+
+def _halve_backward_step(monkeypatch):
+    monkeypatch.setattr(wmanifold, "BACKWARD_STEP", wmanifold.BACKWARD_STEP / 2)
+    return {}
+
+
+@pytest.mark.parametrize("preset, halve", [("kappa_fit", _halve_ode_dt),
+                                           ("stable_manifold", _halve_backward_step)])
+def test_ode_presets_are_step_converged(monkeypatch, preset, halve):
+    """At its default step, halving an ODE preset's RK4 step moves each gated fit
+    value by at most 1e-6 of its gate tolerance.  The round trip measures
+    reversibility, not step error, so it is only required to stay at roundoff."""
+    base = run_experiment(build_config(preset)).checks
+    half = run_experiment(build_config(preset, halve(monkeypatch))).checks
+    assert [c["name"] for c in half] == [c["name"] for c in base]
+    for got, want in zip(half, base):
+        if want["name"] == "roundtrip_residual":
+            assert max(got["value"], want["value"]) <= 1e-12
+        else:
+            assert want["mode"] == "rel"
+            assert abs(got["value"] - want["value"]) <= 1e-6 * want["tol"] * abs(want["target"])
 
 
 def test_growth_fit_on_planted_asymptotic_profile():
