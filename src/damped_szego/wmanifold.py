@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, FixedPointDivergenceError, NotInManifoldError
+from .errors import BlowUpError, FitError, FixedPointDivergenceError, NotInManifoldError
 from .fitting import linear_fit, loglog_fit
 from .hardy import HardyState
 
@@ -181,54 +181,57 @@ def _rk4_reduced(y0, dt, steps, alpha, m):
     record at, the first 0; returns the states there as a float
     ``(len(steps), 4)`` array.  The right-hand side is written out once per
     stage, so a step makes no Python call, and zeta is carried as two reals,
-    which take the interpreter's specialised float arithmetic.
+    which take the interpreter's specialised float arithmetic.  Each stage is
+    factored to 20 float operations: with q = M + beta - 3 gamma,
+    dzeta = -(alpha + iq) zeta + i gamma (gamma (M - gamma + 3 beta) - 2M beta),
+    and dgamma = -2 Im zeta enters as a subtraction of z = 2 Im zeta.
     """
     beta, gamma, zr, zi = y0
     h = 0.5 * dt
     h6 = dt / 6.0
-    # Left-to-right evaluation forms these first (-alpha * zr, -2.0 * alpha * beta),
-    # so hoisting them keeps every bit.
+    # Left-to-right evaluation forms these first (-alpha * zr, -2.0 * alpha * beta,
+    # 2.0 * m * beta), so hoisting them keeps every bit.
     na = -alpha
     k = -2.0 * alpha
+    m2 = 2.0 * m
     out = np.empty((len(steps), 4))
     out[0] = y0
     for j in range(1, len(steps)):
         for _ in range(steps[j] - steps[j - 1]):
-            s = 3.0 * gamma - beta
-            b1 = k * beta + 2.0 * zi
-            g1 = -2.0 * zi
-            r1 = na * zr + m * zi - s * zi
-            i1 = (na * zi - m * zr + s * zr - 2.0 * beta * gamma * m
-                  + gamma * gamma * (m - gamma + 3.0 * beta))
+            q = m + beta - 3.0 * gamma
+            z1 = zi + zi
+            b1 = k * beta + z1
+            r1 = na * zr + q * zi
+            i1 = na * zi - q * zr + gamma * (gamma * (m - gamma + 3.0 * beta) - m2 * beta)
             b = beta + h * b1
-            g = gamma + h * g1
+            g = gamma - h * z1
             r = zr + h * r1
             i = zi + h * i1
-            s = 3.0 * g - b
-            b2 = k * b + 2.0 * i
-            g2 = -2.0 * i
-            r2 = na * r + m * i - s * i
-            i2 = na * i - m * r + s * r - 2.0 * b * g * m + g * g * (m - g + 3.0 * b)
+            q = m + b - 3.0 * g
+            z2 = i + i
+            b2 = k * b + z2
+            r2 = na * r + q * i
+            i2 = na * i - q * r + g * (g * (m - g + 3.0 * b) - m2 * b)
             b = beta + h * b2
-            g = gamma + h * g2
+            g = gamma - h * z2
             r = zr + h * r2
             i = zi + h * i2
-            s = 3.0 * g - b
-            b3 = k * b + 2.0 * i
-            g3 = -2.0 * i
-            r3 = na * r + m * i - s * i
-            i3 = na * i - m * r + s * r - 2.0 * b * g * m + g * g * (m - g + 3.0 * b)
+            q = m + b - 3.0 * g
+            z3 = i + i
+            b3 = k * b + z3
+            r3 = na * r + q * i
+            i3 = na * i - q * r + g * (g * (m - g + 3.0 * b) - m2 * b)
             b = beta + dt * b3
-            g = gamma + dt * g3
+            g = gamma - dt * z3
             r = zr + dt * r3
             i = zi + dt * i3
-            s = 3.0 * g - b
-            b4 = k * b + 2.0 * i
-            g4 = -2.0 * i
-            r4 = na * r + m * i - s * i
-            i4 = na * i - m * r + s * r - 2.0 * b * g * m + g * g * (m - g + 3.0 * b)
+            q = m + b - 3.0 * g
+            z4 = i + i
+            b4 = k * b + z4
+            r4 = na * r + q * i
+            i4 = na * i - q * r + g * (g * (m - g + 3.0 * b) - m2 * b)
             beta += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            gamma += h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            gamma -= h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
             zr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
             zi += h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
         out[j] = beta, gamma, zr, zi
@@ -304,6 +307,18 @@ def _n_steps(dt, t_end, stride):
     return max(1, int(round(t_end / dt)))
 
 
+def _require_finite(ts, rows):
+    """Raise :class:`BlowUpError`, carrying the time of the last finite record, if a
+    recorded row is not finite."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        if bad == 0:
+            raise BlowUpError(0.0, "the initial state is not finite")
+        raise BlowUpError(ts[bad - 1], f"solution blew up between the records at "
+                          f"t={ts[bad - 1]:.6g} (the last finite one) and t={ts[bad]:.6g}")
+
+
 def record_times(dt: float, t_end: float, record_stride: int = 1) -> np.ndarray:
     """The times :func:`integrate_w` and :func:`integrate_reduced` record at."""
     return np.array(_record_steps(_n_steps(dt, t_end, record_stride), record_stride)) * dt
@@ -315,10 +330,13 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
 
     Warns when a recorded |p| comes within 1e-6 of 1 (the explosion regime
     outruns the parameterisation, though the ODE itself stays finite).
+    Raises :class:`BlowUpError`, carrying the time of the last finite record,
+    if a recorded state is not finite: a step too large for the momentum.
     """
     steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
     ts = np.array(steps) * dt
     rows = _rk4_w((w0.b, w0.c, w0.p), dt, steps, alpha)
+    _require_finite(ts, rows)
     # Python abs, as np.abs can differ by an ulp, which 1 - |p|^2 amplifies
     cp = [(abs(c), abs(p)) for _, c, p in rows.tolist()]
     near = [t for t, (_, ap) in zip(ts, cp) if ap > 1.0 - 1e-6]
@@ -336,13 +354,16 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
 
 def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end: float,
                       record_stride: int = 1) -> ReducedTrajectory:
-    """RK4 on the (beta, gamma, zeta) system at fixed momentum."""
+    """RK4 on the (beta, gamma, zeta) system at fixed momentum; raises
+    :class:`BlowUpError` on a non-finite record, as :func:`integrate_w` does."""
     zeta = complex(r0.zeta)
     steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
+    ts = np.array(steps) * dt
     rows = _rk4_reduced((float(r0.beta), float(r0.gamma), zeta.real, zeta.imag), dt, steps,
                         alpha, m)
+    _require_finite(ts, rows)
     return ReducedTrajectory(
-        t=np.array(steps) * dt,
+        t=ts,
         beta=rows[:, 0],
         gamma=rows[:, 1],
         zeta=_complex_column(rows[:, 2], rows[:, 3]),
@@ -452,12 +473,15 @@ def _rk4_delta(y0, dt, steps, alpha, m):
     :func:`_rk4_reduced` records.
 
     Integrating delta = M - gamma itself keeps its relative accuracy near the
-    circle; :func:`_delta_form_q` is Q, written out here once per stage.
+    circle.  Q is :func:`_delta_form_q`; each stage is factored as in
+    :func:`_rk4_reduced`, with q = beta + 3 delta - 2M, to
+    dzeta = -(alpha + iq) zeta + i (M^2 (beta + delta) + delta (delta (delta + 3 beta - 2M)
+    - 4M beta)), which needs no power call.
     """
     beta, delta, zr, zi = y0
     h = 0.5 * dt
     h6 = dt / 6.0
-    # formed first, as in _rk4_reduced: 2.0 * m * zr, 4.0 * m * beta * delta, m * m * (...)
+    # formed first, as in _rk4_reduced: 4.0 * m * beta, m * m * (beta + delta)
     na = -alpha
     k = -2.0 * alpha
     m2 = 2.0 * m
@@ -467,48 +491,41 @@ def _rk4_delta(y0, dt, steps, alpha, m):
     out[0] = y0
     for j in range(1, len(steps)):
         for _ in range(steps[j] - steps[j - 1]):
-            s = beta + 3.0 * delta
-            sq = delta**2
-            b1 = k * beta + 2.0 * zi
-            d1 = 2.0 * zi
-            r1 = na * zr - m2 * zi + s * zi
-            i1 = (mm * (beta + delta) + m2 * zr - alpha * zi
-                  + (-s * zr - m2 * sq - m4 * beta * delta + delta**3 + 3.0 * beta * sq))
+            q = beta + 3.0 * delta - m2
+            z1 = zi + zi
+            b1 = k * beta + z1
+            r1 = na * zr + q * zi
+            i1 = (na * zi - q * zr + mm * (beta + delta)
+                  + delta * (delta * (delta + 3.0 * beta - m2) - m4 * beta))
             b = beta + h * b1
-            d = delta + h * d1
+            d = delta + h * z1
             r = zr + h * r1
             i = zi + h * i1
-            s = b + 3.0 * d
-            sq = d**2
-            b2 = k * b + 2.0 * i
-            d2 = 2.0 * i
-            r2 = na * r - m2 * i + s * i
-            i2 = (mm * (b + d) + m2 * r - alpha * i
-                  + (-s * r - m2 * sq - m4 * b * d + d**3 + 3.0 * b * sq))
+            q = b + 3.0 * d - m2
+            z2 = i + i
+            b2 = k * b + z2
+            r2 = na * r + q * i
+            i2 = na * i - q * r + mm * (b + d) + d * (d * (d + 3.0 * b - m2) - m4 * b)
             b = beta + h * b2
-            d = delta + h * d2
+            d = delta + h * z2
             r = zr + h * r2
             i = zi + h * i2
-            s = b + 3.0 * d
-            sq = d**2
-            b3 = k * b + 2.0 * i
-            d3 = 2.0 * i
-            r3 = na * r - m2 * i + s * i
-            i3 = (mm * (b + d) + m2 * r - alpha * i
-                  + (-s * r - m2 * sq - m4 * b * d + d**3 + 3.0 * b * sq))
+            q = b + 3.0 * d - m2
+            z3 = i + i
+            b3 = k * b + z3
+            r3 = na * r + q * i
+            i3 = na * i - q * r + mm * (b + d) + d * (d * (d + 3.0 * b - m2) - m4 * b)
             b = beta + dt * b3
-            d = delta + dt * d3
+            d = delta + dt * z3
             r = zr + dt * r3
             i = zi + dt * i3
-            s = b + 3.0 * d
-            sq = d**2
-            b4 = k * b + 2.0 * i
-            d4 = 2.0 * i
-            r4 = na * r - m2 * i + s * i
-            i4 = (mm * (b + d) + m2 * r - alpha * i
-                  + (-s * r - m2 * sq - m4 * b * d + d**3 + 3.0 * b * sq))
+            q = b + 3.0 * d - m2
+            z4 = i + i
+            b4 = k * b + z4
+            r4 = na * r + q * i
+            i4 = na * i - q * r + mm * (b + d) + d * (d * (d + 3.0 * b - m2) - m4 * b)
             beta += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            delta += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            delta += h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
             zr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
             zi += h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
         out[j] = beta, delta, zr, zi
@@ -525,6 +542,27 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return (v @ np.diag(np.exp(w)) @ np.linalg.inv(v)).real
 
 
+def _fixed_point_integral(q: np.ndarray, e: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoidal int_{t_i}^{t_n} e^{(s - t_i) A} Q(s) ds at every row of a grid of step h.
+
+    ``q`` holds Q at the n + 1 grid times and ``e`` = e^{hA}.  Row i is the sum
+    acc_i = f_i + E acc_{i+1} of the steps f_i = h/2 (q_i + E q_{i+1}), and
+    row n is zero.  The sum is a Hillis-Steele doubling scan: after the pass
+    of stride d, row i holds sum_{j=i}^{i+2d-1} E^{j-i} f_j, so ceil(log2 n)
+    matmuls replace a loop over the grid.  Only powers of E are formed, and
+    no eigendecomposition.
+    """
+    out = np.zeros_like(q)
+    acc = out[:-1]
+    acc[:] = 0.5 * h * (q[:-1] + q[1:] @ e.T)
+    d = 1
+    while d < acc.shape[0]:
+        acc[:-d] += acc[d:] @ e.T
+        e = e @ e
+        d *= 2
+    return out
+
+
 def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start: float = None,
                                t_end_back: float = 0.0) -> StableManifoldResult:
     """Construct the trajectory that decays to the circle orbit like e^{-(a+alpha)t}.
@@ -536,7 +574,9 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
 
     1. seeds X on [t_start, t_start + L] with the leading-order profile,
     2. refines it on a grid of step 1e-3 by at most 60 sweeps of the fixed point
-       X(t) = e^{-tA} X_inf - int_t^inf e^{(s-t)A} Q(X(s)) ds
+       X(t) = e^{-tA} X_inf - int_t^inf e^{(s-t)A} Q(X(s)) ds,
+       with the trapezoidal rule on each step and the sum over steps taken by a
+       doubling scan (:func:`_fixed_point_integral`) rather than a loop over the grid,
        until the e^{(a+alpha)t}-weighted sup norm moves less than 1e-12 max(beta_inf, 1),
     3. integrates the ODE backward to ``t_end_back`` with RK4 at step
        ``BACKWARD_STEP`` (1e-3), and
@@ -544,7 +584,9 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
 
     ``t_start`` defaults to the time where the leading profile has decayed
     to 1e-6 of the momentum.  A non-contracting iteration raises
-    :class:`FixedPointDivergenceError`; choose a larger ``t_start``.
+    :class:`FixedPointDivergenceError`; choose a larger ``t_start``.  A
+    backward run that leaves the float range raises :class:`BlowUpError` at
+    the last finite time it reached.
     """
     if beta_inf <= 0:
         raise ValueError("beta_inf must be positive")
@@ -574,12 +616,7 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     for iterations in range(1, 61):
         q = np.zeros_like(x)
         q[:, 2], q[:, 3] = _delta_form_q(x[:, 0], x[:, 1], x[:, 2], x[:, 3], m)
-        integral = np.zeros_like(x)
-        acc = np.zeros(4)
-        for i in range(n_grid - 1, -1, -1):
-            acc = 0.5 * h * (q[i] + exp_h @ q[i + 1]) + exp_h @ acc
-            integral[i] = acc
-        x_new = hom - integral
+        x_new = hom - _fixed_point_integral(q, exp_h, h)
         change = float(np.max(weight[:, None] * np.abs(x_new - x)))
         if not math.isfinite(change) or change > 1e6 * scale:
             raise FixedPointDivergenceError(
@@ -600,13 +637,15 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     n_steps = max(1, int(round((t_start - t_end_back) / BACKWARD_STEP)))
     step = (t_start - t_end_back) / n_steps
     steps = _record_steps(n_steps, 1)
+    t_back = t_start + np.array(steps) * -step
     back = _rk4_delta(seed.tolist(), -step, steps, alpha, m)
+    _require_finite(t_back, back)
     forward = _rk4_delta(back[-1].tolist(), step, [0, n_steps], alpha, m)[-1]
     roundtrip = float(np.max(np.abs(forward - seed)))
 
     rows = back[::-1]
     return StableManifoldResult(
-        t=(t_start + np.array(steps) * -step)[::-1],
+        t=t_back[::-1],
         beta=rows[:, 0],
         delta=rows[:, 1],
         zeta=_complex_column(rows[:, 2], rows[:, 3]),

@@ -5,9 +5,13 @@ Most are independent brute-force computations.  ``reference_gram`` and
 H^s sum, kept as oracles for their rewrites.  ``gram_h`` and ``rhs`` are
 thin wrappers over the package's Gram and band kernels, so the tests built
 on them still exercise the package code; ``delta_rhs`` reads its Q from the
-package's ``_delta_form_q``.  ``w_rhs``, ``reduced_rhs`` and ``delta_rhs``
-with ``reference_rk4`` are the per-stage forms of the package's fused RK4
-loops.
+package's ``_delta_form_q``.  ``w_rhs``, ``factored_reduced_rhs`` and
+``factored_delta_rhs`` with ``reference_rk4`` are the per-stage forms of the
+package's fused RK4 loops; ``reduced_rhs`` and ``delta_rhs`` are the unfactored
+right-hand sides the factored ones are held to, themselves equal to the
+complex formulas.  ``reference_fixed_point_integral`` is the stable
+manifold's fixed-point sweep as the sequential loop over the grid that the
+doubling scan replaced.
 """
 
 import numpy as np
@@ -239,6 +243,34 @@ def delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float, m: 
     )
 
 
+def factored_reduced_rhs(beta: float, gamma: float, zr: float, zi: float, alpha: float,
+                         m: float):
+    """:func:`reduced_rhs` in the 20-operation arithmetic of ``wmanifold._rk4_reduced``:
+    q = M + beta - 3 gamma and z = 2 Im zeta, with dgamma = -z."""
+    q = m + beta - 3.0 * gamma
+    z = zi + zi
+    return (
+        -2.0 * alpha * beta + z,
+        -z,
+        -alpha * zr + q * zi,
+        -alpha * zi - q * zr + gamma * (gamma * (m - gamma + 3.0 * beta) - 2.0 * m * beta),
+    )
+
+
+def factored_delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float,
+                       m: float):
+    """:func:`delta_rhs` in the arithmetic of ``wmanifold._rk4_delta``: q = beta + 3 delta - 2M."""
+    q = beta + 3.0 * delta - 2.0 * m
+    z = zi + zi
+    return (
+        -2.0 * alpha * beta + z,
+        z,
+        -alpha * zr + q * zi,
+        -alpha * zi - q * zr + m * m * (beta + delta)
+        + delta * (delta * (delta + 3.0 * beta - 2.0 * m) - 4.0 * m * beta),
+    )
+
+
 def reference_rk4(f, y0, dt, n_steps, stride):
     """Classical RK4 on four real scalars, ``f(w, x, y, z) -> (dw, dx, dy, dz)``,
     one call of ``f`` per stage; the states every ``stride`` steps and after
@@ -353,3 +385,15 @@ def reference_delta_run(x0, alpha, m, t0, t1, h):
         ts.append(t0 + i * step)
         ys.append(y)
     return np.array(ts), np.array(ys)
+
+
+def reference_fixed_point_integral(q, exp_h, h):
+    """The stable manifold's trapezoidal fixed-point integral, summed by the sequential
+    loop acc_i = h/2 (q_i + E q_{i+1}) + E acc_{i+1} from the last grid row down;
+    row n is zero."""
+    integral = np.zeros_like(q)
+    acc = np.zeros(q.shape[1])
+    for i in range(q.shape[0] - 2, -1, -1):
+        acc = 0.5 * h * (q[i] + exp_h @ q[i + 1]) + exp_h @ acc
+        integral[i] = acc
+    return integral

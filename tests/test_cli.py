@@ -309,11 +309,19 @@ def test_run_custom_writes_artifacts(tmp_path):
 
 
 def test_csv_artifacts_are_deterministic(tmp_path):
-    cfg = build_config("custom", small_custom_overrides())
-    run_experiment(cfg, out_dir=tmp_path / "a")
-    run_experiment(cfg, out_dir=tmp_path / "b")
-    for name in ("diagnostics.csv", "spectrum.csv", "verdict.json", "fit.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # every file but meta.json, which holds the wall clock; the stable manifold's
+    # fixed-point scan goes through BLAS matmul
+    runs = [("custom", small_custom_overrides()), ("kappa_fit", {}), ("stable_manifold", {})]
+    for preset, overrides in runs:
+        cfg = build_config(preset, overrides)
+        a, b = tmp_path / preset / "a", tmp_path / preset / "b"
+        run_experiment(cfg, out_dir=a)
+        run_experiment(cfg, out_dir=b)
+        names = sorted(p.name for p in a.iterdir() if p.name != "meta.json")
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "meta.json")
+        assert len(names) >= 3, preset
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (preset, name)
 
 
 def test_meta_contains_config_and_versions(tmp_path):
@@ -442,6 +450,22 @@ def test_cli_wode_overflowing_norm_is_a_runtime_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "overflows a float" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["wode", "--c", "30", "--t-end", "2"],
+    ["wode", "--c", "1e3"],
+    ["wode", "--c", "1e100"],
+    ["simulate", "--preset", "kappa_fit", "--m", "1e3"],
+])
+def test_non_finite_rank_one_run_is_a_blow_up(tmp_path, argv):
+    # a step too large for the momentum once wrote rows of nan and reported a fit
+    out = tmp_path / "out"
+    proc = run_cli(*argv, "--out", str(out), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "blew up between the records at t=0 (the last finite one)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "fit.json").exists() and not (out / "summary.json").exists()
 
 
 def test_removed_knobs_are_rejected(tmp_path):

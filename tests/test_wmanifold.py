@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from damped_szego import wmanifold
 from damped_szego.errors import (
+    BlowUpError,
     FitError,
     FixedPointDivergenceError,
     NotInManifoldError,
 )
 from damped_szego.hardy import GridField, from_grid, grid_points
-from damped_szego.presets import build_config, run_experiment
+from damped_szego.presets import build_config, run_experiment, spectrum_report
 from damped_szego.solver import SolverConfig, evolve
 from damped_szego.wmanifold import (
     ReducedState,
@@ -30,20 +31,30 @@ from damped_szego.wmanifold import (
     integrate_w,
     linearization_matrix,
     linearized_q0,
+    record_times,
     sobolev_sq_w,
     stable_manifold_trajectory,
     w_to_hardy,
 )
-from damped_szego.wmanifold import _record_steps, _rk4_delta, _rk4_reduced, _rk4_w
+from damped_szego.wmanifold import (
+    _fixed_point_integral,
+    _record_steps,
+    _rk4_delta,
+    _rk4_reduced,
+    _rk4_w,
+)
 from helpers import (
     complex_delta_rhs,
     complex_reduced_rhs,
     delta_rhs,
+    factored_delta_rhs,
+    factored_reduced_rhs,
     finite_diff,
     hs_norm_sq,
     reduced_from_w,
     reduced_rhs,
     reference_delta_run,
+    reference_fixed_point_integral,
     reference_integrate_reduced,
     reference_integrate_w,
     reference_rk4,
@@ -218,6 +229,18 @@ def test_real_rhs_equal_complex_oracles_bitwise(beta, gamma, zr, zi, alpha, m):
                           [db, dd, dz.real, dz.imag])
 
 
+@settings(max_examples=300, deadline=None)
+@given(beta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), gamma=_PART, zr=_PART, zi=_PART,
+       alpha=st.floats(0.0, 2.0), m=st.floats(0.1, 3.0))
+@example(beta=3.0, gamma=3.0, zr=3.0, zi=3.0, alpha=2.0, m=3.0)
+def test_factored_rhs_match_unfactored_to_roundoff(beta, gamma, zr, zi, alpha, m):
+    # gamma doubles as delta
+    for factored, plain in ((factored_reduced_rhs, reduced_rhs), (factored_delta_rhs, delta_rhs)):
+        want = np.array(plain(beta, gamma, zr, zi, alpha, m))
+        got = np.array(factored(beta, gamma, zr, zi, alpha, m))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
 # --- integrators ------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [dict(dt=0.0), dict(t_end=-1.0), dict(record_stride=0),
@@ -228,6 +251,17 @@ def test_integrators_reject_bad_steps(kwargs):
         integrate_w(WState(0, 1.0, 0.5), 1.0, **args)
     with pytest.raises(ValueError):
         integrate_reduced(ReducedState(0.0, 1.0, 0j), 1.0, 2.0, **args)
+
+
+def test_non_finite_runs_raise_blow_up_at_last_finite_record():
+    # a step far too large for the momentum: the first recorded step is already nan
+    with pytest.raises(BlowUpError) as err:
+        integrate_w(WState(0, 30.0, 0.5), alpha=1.0, dt=1e-3, t_end=2.0, record_stride=10)
+    assert err.value.t_reached == 0.0
+    with pytest.raises(BlowUpError) as err:
+        integrate_reduced(ReducedState(0.0, 750.0, 0j), 1.0, 1e3, dt=1e-2, t_end=5.0,
+                          record_stride=1)
+    assert err.value.t_reached in record_times(1e-2, 5.0, 1)
 
 
 def test_integrate_w_circle_is_steady():
@@ -282,6 +316,21 @@ def test_classification_and_dichotomy():
         assert circle.l2_sq[0] >= circle.momentum[0] - 1e-9
 
 
+@settings(max_examples=10, deadline=None)
+@given(b=st.complex_numbers(max_magnitude=1.5),
+       c=st.complex_numbers(min_magnitude=0.2, max_magnitude=1.5),
+       p=st.complex_numbers(max_magnitude=0.9))
+@example(b=0j, c=1 + 0j, p=0.5 + 0j)  # the wode default, ExplodesStrict
+def test_explodes_strict_rank_one_states_explode(b, c, p):
+    # the proved direction only: ExplodesStrict data have unbounded H^s norms, which on
+    # the rank-one manifold means |p| -> 1; Inconclusive data may do either
+    w0 = WState(b, c, p)
+    _, _, summary = spectrum_report(w_to_hardy(w0, 1024), size=128)
+    if summary["verdict"] == "ExplodesStrict":
+        traj = integrate_w(w0, 1.0, dt=2e-3, t_end=50.0, record_stride=50)
+        assert classify_w_run(traj) == "exploding"
+
+
 def test_reduced_integration_consistent_with_w_pushforward():
     w0 = WState(0.2, 1.0, 0.3)
     alpha, m = 1.0, w0.momentum
@@ -317,13 +366,19 @@ def test_integrate_w_matches_reference_bitwise(w0):
         assert np.array_equal(got, want)
 
 
+def _roundoff_close(got, want):
+    """|got - want| <= 1e-12 max(1, max |want|): the factored loops against the complex formula."""
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("w0", W_STATES)
-def test_integrate_reduced_matches_reference_bitwise(w0):
+def test_integrate_reduced_matches_reference_to_roundoff(w0):
     r0, m = reduced_from_w(w0), w0.momentum
     traj = integrate_reduced(r0, 1.0, m, dt=1e-3, t_end=2.0, record_stride=7)
     ref = reference_integrate_reduced(r0, 1.0, m, 1e-3, 2.0, 7)
-    for got, want in zip((traj.t, traj.beta, traj.gamma, traj.zeta), ref):
-        assert np.array_equal(got, want)
+    assert np.array_equal(traj.t, ref[0])
+    for got, want in zip((traj.beta, traj.gamma, traj.zeta), ref[1:]):
+        assert _roundoff_close(got, want)
 
 
 def test_stable_manifold_matches_reference_run():
@@ -351,14 +406,14 @@ def test_fused_real_loops_equal_references_bitwise(n_steps, stride, beta, gamma,
     steps = _record_steps(n_steps, stride)
     y0 = (beta, gamma, zr, zi)
     got = _rk4_reduced(y0, dt, steps, alpha, m)
-    want = reference_rk4(lambda *x: reduced_rhs(*x, alpha, m), y0, dt, n_steps, stride)
+    want = reference_rk4(lambda *x: factored_reduced_rhs(*x, alpha, m), y0, dt, n_steps, stride)
     assert got.tobytes() == want.tobytes()
     _, rb, rg, rz = reference_integrate_reduced(ReducedState(beta, gamma, complex(zr, zi)),
                                                 alpha, m, dt, n_steps * dt, stride)
-    assert np.array_equal(got, np.column_stack([rb, rg, rz.real, rz.imag]))
+    assert _roundoff_close(got, np.column_stack([rb, rg, rz.real, rz.imag]))
     # gamma doubles as delta
     got = _rk4_delta(y0, dt, steps, alpha, m)
-    want = reference_rk4(lambda *x: delta_rhs(*x, alpha, m), y0, dt, n_steps, stride)
+    want = reference_rk4(lambda *x: factored_delta_rhs(*x, alpha, m), y0, dt, n_steps, stride)
     assert got.tobytes() == want.tobytes()
 
 
@@ -404,6 +459,13 @@ def test_rank_one_loops_make_no_python_call_per_step():
     ]
     for run in runs:
         assert _python_calls(lambda: run(1000)) == _python_calls(lambda: run(2000)) > 0
+
+
+def test_fixed_point_sweep_makes_no_python_call_per_grid_point():
+    e = wmanifold._expm(1e-3 * linearization_matrix(1.0, 2.0)[0])
+    q = np.random.default_rng(0).standard_normal((4001, 4))
+    calls = [_python_calls(lambda: _fixed_point_integral(q[:n], e, 1e-3)) for n in (1001, 4001)]
+    assert calls[0] == calls[1] > 0
 
 
 @pytest.mark.parametrize("system", ["w", "reduced", "delta"])
@@ -587,10 +649,38 @@ def test_stable_manifold_seed_matches_eigenvector_direction():
     assert np.max(np.abs(res.seed - lead)) < 1e-6 * np.max(np.abs(lead))
 
 
+@settings(max_examples=8, deadline=None)
+@given(alpha=st.floats(0.5, 2.0), m=st.floats(0.5, 3.0), beta_inf=st.floats(0.1, 2.0))
+def test_fixed_point_scan_matches_sequential_sweep(alpha, m, beta_inf):
+    # the first and the last sweep of a construction, against the loop over the grid
+    sweeps = []
+
+    def spy(q, e, h):
+        sweeps.append((q, e, h))
+        return _fixed_point_integral(q, e, h)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wmanifold, "_fixed_point_integral", spy)
+        res = stable_manifold_trajectory(beta_inf, alpha, m)
+    rate = asymptotic_constants(alpha, m).decay_rate
+    for q, e, h in (sweeps[0], sweeps[-1]):
+        got = _fixed_point_integral(q, e, h)
+        want = reference_fixed_point_integral(q, e, h)
+        weight = np.exp(rate * (res.t_start + h * np.arange(q.shape[0])))[:, None]
+        assert np.max(weight * np.abs(got - want)) <= 1e-13 * np.max(weight * np.abs(want))
+
+
 def test_stable_manifold_divergence_suggests_larger_t_start():
     with pytest.raises(FixedPointDivergenceError) as err:
         stable_manifold_trajectory(1e3, 1.0, 1.0, t_start=0.05)
     assert "t_start" in str(err.value)
+
+
+def test_stable_manifold_backward_blow_up_is_reported():
+    # far enough back the orbit leaves the float range; it once raised OverflowError
+    with pytest.raises(BlowUpError) as err:
+        stable_manifold_trajectory(1.0, 1.0, 1.0, t_end_back=-30.0)
+    assert -30.0 < err.value.t_reached < 0.0
 
 
 def test_stable_manifold_rejects_bad_window():
