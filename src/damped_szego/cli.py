@@ -135,7 +135,9 @@ def _momentum_finite(c, p) -> bool:
 def _cmd_wode(args):
     require({
         "dt": (0 < args.dt < math.inf, "dt must be positive and finite"),
-        "t_end": (0 < args.t_end < math.inf, "t_end must be positive and finite"),
+        "t_end": (0 < args.t_end < math.inf
+                  and not (args.dt > 0 and args.t_end / args.dt > sys.maxsize),
+                  "t_end must be positive and finite, with at most sys.maxsize steps of dt"),
         "record_stride": (args.record_stride > 0, "record_stride must be positive"),
         "alpha": (0 <= args.alpha < math.inf, "alpha must be finite and >= 0"),
         "s": (0.5 < args.s < math.inf,

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -95,8 +96,10 @@ class ExperimentConfig:
     def validate(self):
         row = _PRESETS.get(self.preset, Preset(None, {}))
         reads_m = row.closed_form and row.run is not _run_pde
+        # The step the preset's run takes, if it takes one.
+        step = {_run_pde: self.dt, _run_kappa: self.ode_dt}.get(row.run, math.nan)
+        steps = self.t_end / step if step > 0 else math.nan
         # check_lyapunov needs three records: u(0), the one at record_stride and the last.
-        steps = self.t_end / self.dt if self.dt > 0 else math.nan
         pde_too_short = (row.run is _run_pde
                          and math.isfinite(steps) and round(steps) <= self.record_stride)
         require({
@@ -111,8 +114,10 @@ class ExperimentConfig:
             "gamma0": (self.gamma0 is None or 0 < self.gamma0 <= self.m,
                        "gamma0 must lie in (0, m]"),
             "dt": (0 < self.dt < math.inf, "dt must be positive and finite"),
-            "t_end": (0 < self.t_end < math.inf and not pde_too_short, "t_end must be positive, "
-                      "finite and, for a PDE preset, give more than record_stride steps of dt"),
+            "t_end": (0 < self.t_end < math.inf and not pde_too_short
+                      and not steps > sys.maxsize,
+                      "t_end must be positive and finite, give at most sys.maxsize steps and, "
+                      "for a PDE preset, more than record_stride steps of dt"),
             "ode_dt": (0 < self.ode_dt < math.inf, "ode_dt must be positive and finite"),
             "n": (self.grid_size > 0 and self.grid_size % 2 == 0, "n must be even and positive"),
             "record_stride": (self.record_stride >= 1, "record_stride must be >= 1"),

@@ -166,6 +166,7 @@ class ReducedTrajectory:
     gamma: np.ndarray
     zeta: np.ndarray
     momentum: float
+    sweeps: int = 0  # parareal sweeps of the windowed path; 0 on the sequential loop
 
 
 def _record_steps(n_steps, stride):
@@ -185,8 +186,16 @@ def _rk4_reduced(y0, dt, steps, alpha, m):
     factored to 20 float operations: with q = M + beta - 3 gamma,
     dzeta = -(alpha + iq) zeta + i gamma (gamma (M - gamma + 3 beta) - 2M beta),
     and dgamma = -2 Im zeta enters as a subtraction of z = 2 Im zeta.
+
+    The components may also be float arrays of one shape (W,): the loop then
+    steps W states at once and records a ``(len(steps), 4, W)`` array.  numpy
+    rounds float64 ``+ - *`` as Python floats do, so each state's records
+    equal its scalar run bit for bit.
     """
     beta, gamma, zr, zi = y0
+    shape = getattr(beta, "shape", ())
+    if shape:  # copied, as the updates below are in place
+        beta, gamma, zr, zi = beta.copy(), gamma.copy(), zr.copy(), zi.copy()
     h = 0.5 * dt
     h6 = dt / 6.0
     # Left-to-right evaluation forms these first (-alpha * zr, -2.0 * alpha * beta,
@@ -194,7 +203,7 @@ def _rk4_reduced(y0, dt, steps, alpha, m):
     na = -alpha
     k = -2.0 * alpha
     m2 = 2.0 * m
-    out = np.empty((len(steps), 4))
+    out = np.empty((len(steps), 4) + shape)
     out[0] = y0
     for j in range(1, len(steps)):
         for _ in range(steps[j] - steps[j - 1]):
@@ -352,15 +361,85 @@ def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
     )
 
 
+# The windowed path of integrate_reduced (parareal: Lions, Maday & Turinici, C. R. Acad.
+# Sci. Paris 332, 2001).  A window is g whole record intervals, g the largest with
+# g * stride * dt * max(1, alpha, M) <= _WINDOW_SPAN, and the path runs only for at least
+# _MIN_WINDOWS windows of at least _MIN_WINDOW_STEPS steps.  The sweeps stop once no window
+# start moves by more than _SWEEP_TOL * max(1, max |U|); a non-finite value, or no
+# convergence in _MAX_SWEEPS sweeps, hands the run to the sequential loop.
+_WINDOW_SPAN = 0.2
+_MIN_WINDOW_STEPS = 100
+_MIN_WINDOWS = 256
+_SWEEP_TOL = 1e-15
+_MAX_SWEEPS = 12
+
+
+def _window_intervals(dt, stride, alpha, m):
+    """Record intervals per window: the most whose span H has H max(1, alpha, M) <=
+    ``_WINDOW_SPAN``, 0 if not even one fits."""
+    return int(_WINDOW_SPAN / (stride * dt * max(1.0, alpha, m)))
+
+
+def _rk4_windows(y0, dt, steps, stride, alpha, m):
+    """:func:`_rk4_reduced` at the record ``steps`` (every ``stride``-th and the last) by
+    parareal sweeps over windows of whole record intervals.
+
+    The coarse propagator G is one RK4 step over a window, taken window by window on
+    floats; the fine propagator F is :func:`_rk4_reduced` at ``dt``, over every window at
+    once on arrays.  A sweep sets U_{n+1} = F(U_n^old) + (G(U_n^new) - G(U_n^old)) from
+    U_0 = y0, so once a window start stops moving the bracket is exactly 0, and after k
+    sweeps the first k window starts equal the sequential run's bit for bit.  The records
+    come from the last fine sweep, and the steps after the last whole window run
+    sequentially from its end.  Returns the records and the sweep count, or None if the
+    run is too short for windows, a value is not finite or the sweeps do not converge.
+    """
+    intervals = _window_intervals(dt, stride, alpha, m)
+    windows = steps[-1] // stride // max(intervals, 1)
+    if intervals * stride < _MIN_WINDOW_STEPS or windows < _MIN_WINDOWS:
+        return None
+    span = intervals * stride * dt
+    one = [0, 1]
+    new = [list(y0)]
+    for _ in range(windows):
+        new.append(_rk4_reduced(new[-1], span, one, alpha, m)[1].tolist())
+    coarse, u = new[1:], np.array(new)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        fine = _rk4_reduced(tuple(u[:-1].T), dt, steps[:intervals + 1], alpha, m)
+        new, g_new = new[:1], []
+        for f, g_old in zip(fine[-1].T.tolist(), coarse):
+            g = _rk4_reduced(new[-1], span, one, alpha, m)[1].tolist()
+            new.append([a + (b - c) for a, b, c in zip(f, g, g_old)])
+            g_new.append(g)
+        now = np.array(new)
+        if not (np.isfinite(fine).all() and np.isfinite(now).all()):
+            return None
+        if np.max(np.abs(now - u)) <= _SWEEP_TOL * max(1.0, np.max(np.abs(now))):
+            break
+        u, coarse = now, g_new
+    else:
+        return None
+    done = windows * intervals
+    tail = _rk4_reduced(fine[-1, :, -1].tolist(), dt, [s - steps[done] for s in steps[done:]],
+                        alpha, m)
+    return np.concatenate([[y0], fine[1:].transpose(2, 0, 1).reshape(-1, 4), tail[1:]]), sweep
+
+
 def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end: float,
                       record_stride: int = 1) -> ReducedTrajectory:
     """RK4 on the (beta, gamma, zeta) system at fixed momentum; raises
-    :class:`BlowUpError` on a non-finite record, as :func:`integrate_w` does."""
+    :class:`BlowUpError` on a non-finite record, as :func:`integrate_w` does.
+
+    A long run at a fine step is taken by parareal sweeps over windows of whole record
+    intervals (:func:`_rk4_windows`), its records equal to the sequential loop's to
+    roundoff; every other run takes the sequential loop.
+    """
     zeta = complex(r0.zeta)
     steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
     ts = np.array(steps) * dt
-    rows = _rk4_reduced((float(r0.beta), float(r0.gamma), zeta.real, zeta.imag), dt, steps,
-                        alpha, m)
+    y0 = (float(r0.beta), float(r0.gamma), zeta.real, zeta.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        windowed = _rk4_windows(y0, dt, steps, record_stride, alpha, m)
+    rows, sweeps = windowed or (_rk4_reduced(y0, dt, steps, alpha, m), 0)
     _require_finite(ts, rows)
     return ReducedTrajectory(
         t=ts,
@@ -368,6 +447,7 @@ def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end
         gamma=rows[:, 1],
         zeta=_complex_column(rows[:, 2], rows[:, 3]),
         momentum=m,
+        sweeps=sweeps,
     )
 
 

@@ -642,6 +642,10 @@ def test_baby_reads_m_from_initial_data():
     (["simulate", "--preset", "stable_manifold", "--m", "1e300"], "m"),
     # the momentum |c|^2/(1-|p|^2)^2 must be a finite float
     (["wode", "--c", "1e200"], "c"),
+    # a step count must fit a machine-sized integer
+    (["simulate", "--preset", "kappa_fit", "--t-end", "1e30"], "t_end"),
+    (["wode", "--t-end", "1e300"], "t_end"),
+    (["simulate", "--preset", "gaussian", "--t-end", "1e300"], "t_end"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))

@@ -1,3 +1,4 @@
+import gc
 import sys
 import warnings
 
@@ -431,20 +432,92 @@ def test_fused_w_loop_equals_reference_bitwise(n_steps, stride, b, c, p, alpha, 
     assert got.tobytes() == np.column_stack([rb, rc, rp]).tobytes()
 
 
+@pytest.mark.parametrize("n_steps, stride", RUN_SHAPES)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.0, 2.0), m=st.floats(0.1, 3.0),
+       dt=st.floats(1e-3, 0.02), backward=st.booleans())
+def test_reduced_loop_on_arrays_equals_scalar_runs_bitwise(n_steps, stride, seed, alpha, m,
+                                                           dt, backward):
+    dt = -dt if backward else dt
+    steps = _record_steps(n_steps, stride)
+    rng = np.random.default_rng(seed)
+    y0 = (rng.uniform(0.0, 1.0, 7), *rng.uniform(-1.0, 1.0, (3, 7)))
+    before = [v.copy() for v in y0]
+    got = _rk4_reduced(y0, dt, steps, alpha, m)
+    assert got.shape == (len(steps), 4, 7)
+    assert all(np.array_equal(v, w) for v, w in zip(y0, before))
+    for j in range(7):
+        want = _rk4_reduced(tuple(float(v[j]) for v in y0), dt, steps, alpha, m)
+        assert got[:, :, j].tobytes() == want.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.floats(0.2, 2.0), m=st.floats(0.5, 3.0), ratio=st.floats(0.3, 0.95),
+       stride=st.sampled_from([10, 25, 50, 100]), windows=st.integers(256, 600),
+       tail=st.integers(0, 10**6))
+def test_windowed_reduced_run_matches_sequential_loop(alpha, m, ratio, stride, windows, tail):
+    """Parareal sweeps over 256-600 windows against the sequential loop, to 1e-13 of each
+    column's maximum.  At dt = 1e-3 a window of >= 100 steps fits only for max(alpha, M) <= 2;
+    beyond that the run must take the sequential loop itself."""
+    dt = 1e-3
+    intervals = wmanifold._window_intervals(dt, stride, alpha, m)
+    window_steps = max(intervals, 1) * stride
+    n_steps = windows * window_steps + tail % window_steps
+    r0 = ReducedState(0.0, ratio * m, 0j)
+    traj = integrate_reduced(r0, alpha, m, dt, n_steps * dt, record_stride=stride)
+    steps = _record_steps(n_steps, stride)
+    want = _rk4_reduced((0.0, ratio * m, 0.0, 0.0), dt, steps, alpha, m)
+    got = np.column_stack([traj.beta, traj.gamma, traj.zeta.real, traj.zeta.imag])
+    assert np.array_equal(traj.t, np.array(steps) * dt)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want).max(axis=0)))
+    if intervals * stride >= wmanifold._MIN_WINDOW_STEPS:
+        assert 1 <= traj.sweeps <= wmanifold._MAX_SWEEPS
+    else:
+        assert traj.sweeps == 0 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("beta0", [1e6, 3081.25])
+def test_windowed_blow_up_raises_at_the_sequential_record(monkeypatch, beta0):
+    # alpha = M = 1 at stride 100 and dt = 1e-3: 300 windows of 200 steps.  Both states leave
+    # the float range; 3081.25 only after the records at t = 0.1 to 0.4.
+    def last_finite_time():
+        with pytest.raises(BlowUpError) as err:
+            integrate_reduced(ReducedState(beta0, 0.75, 0j), 1.0, 1.0, 1e-3, 60.0,
+                              record_stride=100)
+        return err.value.t_reached
+
+    windowed = last_finite_time()
+    monkeypatch.setattr(wmanifold, "_MIN_WINDOWS", float("inf"))
+    assert windowed == last_finite_time()
+    assert (windowed > 0) == (beta0 < 1e6)
+
+
+def test_kappa_fit_reports_its_sweeps():
+    fine = run_experiment(build_config("kappa_fit", {"ode_dt": 1e-3, "t_end": 100.0}))
+    assert 1 <= fine.artifacts["trajectory"].sweeps <= 8
+    assert run_experiment(build_config("kappa_fit")).artifacts["trajectory"].sweeps == 0
+
+
 def _python_calls(run):
-    """Python function calls (profiler "call" events) made while ``run()`` runs."""
+    """Python function calls (profiler "call" events) made while ``run()`` runs.
+
+    The garbage collector is off meanwhile: a collection could run the finalizers
+    of other tests' objects, calls that ``run`` does not make."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    gc.collect()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
         run()
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls
 
 
@@ -459,6 +532,14 @@ def test_rank_one_loops_make_no_python_call_per_step():
     ]
     for run in runs:
         assert _python_calls(lambda: run(1000)) == _python_calls(lambda: run(2000)) > 0
+    # at equal windows and sweeps, doubling the steps per window must not add a call:
+    # alpha = 1, M = 1.5 puts one 0.1 record interval in each of 256 windows
+    trajs = []
+    calls = [_python_calls(lambda: trajs.append(integrate_reduced(
+        ReducedState(0.0, 1.0, 0j), 1.0, 1.5, dt, 25.6, record_stride=round(0.1 / dt))))
+        for dt in (1e-3, 5e-4)]
+    assert trajs[0].sweeps == trajs[1].sweeps > 0
+    assert calls[0] == calls[1]
 
 
 def test_fixed_point_sweep_makes_no_python_call_per_grid_point():
