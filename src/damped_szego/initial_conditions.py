@@ -93,13 +93,15 @@ def parse_initial_condition(spec: str, n: int) -> HardyState:
     Supported kinds: ``pole:p[,amplitude[,offset]]``, ``poles:p1,p2,...``,
     ``blaschke:p1[,p2,...]``, ``circle:c``, ``perturbed_circle:eps``,
     ``gaussian:width``, ``wstate:b,c,p`` (complex entries accepted, e.g.
-    ``0.1+0.2j``).
+    ``0.1+0.2j``, except for the real ``eps`` and ``width``).
     """
     if not (n > 0 and n % 2 == 0):
         raise ConfigError(f"grid size must be even and positive, got {n}", field="n")
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     args = _parse_numbers(rest)
+    if kind in ("gaussian", "perturbed_circle") and any(isinstance(a, complex) for a in args):
+        raise ConfigError(f"{kind} takes a real parameter", field="ic")
     try:
         if kind == "pole":
             if not 1 <= len(args) <= 3:
@@ -123,11 +125,11 @@ def parse_initial_condition(spec: str, n: int) -> HardyState:
         if kind == "perturbed_circle":
             if len(args) != 1:
                 raise ConfigError("perturbed_circle takes exactly one epsilon", field="ic")
-            return perturbed_circle_state(float(np.real(args[0])), n)
+            return perturbed_circle_state(args[0], n)
         if kind == "gaussian":
             if len(args) != 1:
                 raise ConfigError("gaussian takes exactly one width", field="ic")
-            return gaussian_state(float(np.real(args[0])), n)
+            return gaussian_state(args[0], n)
         if kind == "wstate":
             if len(args) != 3:
                 raise ConfigError("wstate takes b,c,p", field="ic")

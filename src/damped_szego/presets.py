@@ -34,6 +34,7 @@ from .wmanifold import (
     linearization_matrix,
     linearized_q0,
     record_times,
+    stable_manifold_t_start,
     stable_manifold_trajectory,
 )
 
@@ -102,6 +103,11 @@ class ExperimentConfig:
         # check_lyapunov needs three records: u(0), the one at record_stride and the last.
         pde_too_short = (row.run is _run_pde
                          and math.isfinite(steps) and round(steps) <= self.record_stride)
+        # The stable manifold's run starts at t_start, given or by default.
+        t_start = self.t_start
+        if (t_start is None and row.run is _run_stable and 0 < self.beta_inf < math.inf
+                and closed_form_finite(self.alpha, self.m)):
+            t_start = stable_manifold_t_start(self.beta_inf, self.alpha, self.m)
         require({
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
             "alpha": (closed_form_finite(self.alpha, 1.0) if row.closed_form
@@ -131,8 +137,9 @@ class ExperimentConfig:
             "t_start": (self.t_start is None or 0 < self.t_start < math.inf,
                         "t_start must be positive and finite"),
             "t_end_back": (math.isfinite(self.t_end_back)
-                           and (self.t_start is None or self.t_end_back < self.t_start),
-                           "t_end_back must be finite and smaller than t_start"),
+                           and (t_start is None or self.t_end_back < t_start),
+                           "t_end_back must be finite and smaller than t_start (by default "
+                           "max(log(beta_inf / (1e-6 m)) / (a + alpha), 1))"),
             # The K_u^2 invariance gate compares u(0) with these snapshots only.
             "snapshot_times": (not row.needs_snapshot or self.later_snapshots(),
                                f"{self.preset} needs a snapshot time in (0, t_end]"),

@@ -2,11 +2,10 @@
 
 States u = b + c e^{ix} / (1 - p e^{ix}) with |p| < 1, c != 0 are exactly
 the symbols whose shifted Hankel operator has rank one, and the damped flow
-restricts to an explicit ODE in (b, c, p).  Two further reductions are
-used: the gauge-invariant variables (beta, gamma, zeta) =
-(|b|^2, M(1-|p|^2), M c conj(b) conj(p)) for the slow algebraic decay of
-exploding orbits, and the (beta, delta, zeta) variant with delta = M - gamma
-for trajectories converging to the circle orbit.
+restricts to an explicit ODE in (b, c, p).  At fixed momentum M it reduces to
+the gauge-invariant (beta, gamma, zeta) = (|b|^2, M(1-|p|^2), M c conj(b) conj(p)),
+stepped in gamma for the slow algebraic decay of exploding orbits and in
+gamma - M = -delta for trajectories converging to the circle orbit.
 """
 
 import math
@@ -34,6 +33,7 @@ __all__ = [
     "gamma_tail_fit",
     "linearized_q0",
     "linearization_matrix",
+    "stable_manifold_t_start",
     "stable_manifold_trajectory",
     "beta_decay_rate",
     "delta_beta_ratio",
@@ -174,76 +174,84 @@ def _record_steps(n_steps, stride):
     return [*range(0, n_steps, stride), n_steps]
 
 
-def _rk4_reduced(y0, dt, steps, alpha, m):
-    """RK4 on the gauge-reduced (beta, gamma, Re zeta, Im zeta) system at momentum m.
+def _rk4_reduced(y0, dt, steps, alpha, m, g0=0.0):
+    """RK4 on the gauge-reduced (beta, gamma, Re zeta, Im zeta) system at momentum m,
+    carrying x = gamma - g0: g0 = 0 for kappa_fit, g0 = M (x = -delta) for the stable manifold.
 
     dzeta = -(alpha + iM) zeta + i(3 gamma - beta) zeta - 2i beta gamma M
-    + i gamma^2 (M - gamma + 3 beta).  ``steps`` lists the step counts to
-    record at, the first 0; returns the states there as a float
+    + i gamma^2 (M - gamma + 3 beta).  ``steps`` lists the step counts to record at,
+    the first 0; returns the states (beta, x, Re zeta, Im zeta) there as a float
     ``(len(steps), 4)`` array.  The right-hand side is written out once per
     stage, so a step makes no Python call, and zeta is carried as two reals,
     which take the interpreter's specialised float arithmetic.  Each stage is
-    factored to 20 float operations: with q = M + beta - 3 gamma,
-    dzeta = -(alpha + iq) zeta + i gamma (gamma (M - gamma + 3 beta) - 2M beta),
-    and dgamma = -2 Im zeta enters as a subtraction of z = 2 Im zeta.
+    factored to 21 float operations: with g = g0 + x, c = M - g0, q = M + beta - 3g,
+    dzeta = -(alpha + iq) zeta + i g (g (c - x + 3 beta) - 2M beta), and
+    dx = -2 Im zeta enters as a subtraction of z = 2 Im zeta.  At g0 = 0 that is
+    gamma's own arithmetic; at g0 = M, c - x = delta exactly, and delta keeps its
+    relative accuracy near the circle orbit.
 
     The components may also be float arrays of one shape (W,): the loop then
     steps W states at once and records a ``(len(steps), 4, W)`` array.  numpy
     rounds float64 ``+ - *`` as Python floats do, so each state's records
     equal its scalar run bit for bit.
     """
-    beta, gamma, zr, zi = y0
+    beta, x, zr, zi = y0
     shape = getattr(beta, "shape", ())
     if shape:  # copied, as the updates below are in place
-        beta, gamma, zr, zi = beta.copy(), gamma.copy(), zr.copy(), zi.copy()
+        beta, x, zr, zi = beta.copy(), x.copy(), zr.copy(), zi.copy()
     h = 0.5 * dt
     h6 = dt / 6.0
     # Left-to-right evaluation forms these first (-alpha * zr, -2.0 * alpha * beta,
-    # 2.0 * m * beta), so hoisting them keeps every bit.
+    # 2.0 * m * beta, m - g0), so hoisting them keeps every bit.
     na = -alpha
     k = -2.0 * alpha
     m2 = 2.0 * m
+    c = m - g0
     out = np.empty((len(steps), 4) + shape)
     out[0] = y0
     for j in range(1, len(steps)):
         for _ in range(steps[j] - steps[j - 1]):
-            q = m + beta - 3.0 * gamma
+            g = g0 + x
+            q = m + beta - 3.0 * g
             z1 = zi + zi
             b1 = k * beta + z1
             r1 = na * zr + q * zi
-            i1 = na * zi - q * zr + gamma * (gamma * (m - gamma + 3.0 * beta) - m2 * beta)
+            i1 = na * zi - q * zr + g * (g * (c - x + 3.0 * beta) - m2 * beta)
             b = beta + h * b1
-            g = gamma - h * z1
+            y = x - h * z1
             r = zr + h * r1
             i = zi + h * i1
+            g = g0 + y
             q = m + b - 3.0 * g
             z2 = i + i
             b2 = k * b + z2
             r2 = na * r + q * i
-            i2 = na * i - q * r + g * (g * (m - g + 3.0 * b) - m2 * b)
+            i2 = na * i - q * r + g * (g * (c - y + 3.0 * b) - m2 * b)
             b = beta + h * b2
-            g = gamma - h * z2
+            y = x - h * z2
             r = zr + h * r2
             i = zi + h * i2
+            g = g0 + y
             q = m + b - 3.0 * g
             z3 = i + i
             b3 = k * b + z3
             r3 = na * r + q * i
-            i3 = na * i - q * r + g * (g * (m - g + 3.0 * b) - m2 * b)
+            i3 = na * i - q * r + g * (g * (c - y + 3.0 * b) - m2 * b)
             b = beta + dt * b3
-            g = gamma - dt * z3
+            y = x - dt * z3
             r = zr + dt * r3
             i = zi + dt * i3
+            g = g0 + y
             q = m + b - 3.0 * g
             z4 = i + i
             b4 = k * b + z4
             r4 = na * r + q * i
-            i4 = na * i - q * r + g * (g * (m - g + 3.0 * b) - m2 * b)
+            i4 = na * i - q * r + g * (g * (c - y + 3.0 * b) - m2 * b)
             beta += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            gamma -= h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
+            x -= h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
             zr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
             zi += h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
-        out[j] = beta, gamma, zr, zi
+        out[j] = beta, x, zr, zi
     return out
 
 
@@ -548,70 +556,6 @@ def _delta_form_q(beta, delta, zr, zi, m):
     )
 
 
-def _rk4_delta(y0, dt, steps, alpha, m):
-    """RK4 on X = (beta, delta, Re zeta, Im zeta), dX/dt = -A X + Q(X), recorded as
-    :func:`_rk4_reduced` records.
-
-    Integrating delta = M - gamma itself keeps its relative accuracy near the
-    circle.  Q is :func:`_delta_form_q`; each stage is factored as in
-    :func:`_rk4_reduced`, with q = beta + 3 delta - 2M, to
-    dzeta = -(alpha + iq) zeta + i (M^2 (beta + delta) + delta (delta (delta + 3 beta - 2M)
-    - 4M beta)), which needs no power call.
-    """
-    beta, delta, zr, zi = y0
-    h = 0.5 * dt
-    h6 = dt / 6.0
-    # formed first, as in _rk4_reduced: 4.0 * m * beta, m * m * (beta + delta)
-    na = -alpha
-    k = -2.0 * alpha
-    m2 = 2.0 * m
-    m4 = 4.0 * m
-    mm = m * m
-    out = np.empty((len(steps), 4))
-    out[0] = y0
-    for j in range(1, len(steps)):
-        for _ in range(steps[j] - steps[j - 1]):
-            q = beta + 3.0 * delta - m2
-            z1 = zi + zi
-            b1 = k * beta + z1
-            r1 = na * zr + q * zi
-            i1 = (na * zi - q * zr + mm * (beta + delta)
-                  + delta * (delta * (delta + 3.0 * beta - m2) - m4 * beta))
-            b = beta + h * b1
-            d = delta + h * z1
-            r = zr + h * r1
-            i = zi + h * i1
-            q = b + 3.0 * d - m2
-            z2 = i + i
-            b2 = k * b + z2
-            r2 = na * r + q * i
-            i2 = na * i - q * r + mm * (b + d) + d * (d * (d + 3.0 * b - m2) - m4 * b)
-            b = beta + h * b2
-            d = delta + h * z2
-            r = zr + h * r2
-            i = zi + h * i2
-            q = b + 3.0 * d - m2
-            z3 = i + i
-            b3 = k * b + z3
-            r3 = na * r + q * i
-            i3 = na * i - q * r + mm * (b + d) + d * (d * (d + 3.0 * b - m2) - m4 * b)
-            b = beta + dt * b3
-            d = delta + dt * z3
-            r = zr + dt * r3
-            i = zi + dt * i3
-            q = b + 3.0 * d - m2
-            z4 = i + i
-            b4 = k * b + z4
-            r4 = na * r + q * i
-            i4 = na * i - q * r + mm * (b + d) + d * (d * (d + 3.0 * b - m2) - m4 * b)
-            beta += h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            delta += h6 * (z1 + 2.0 * z2 + 2.0 * z3 + z4)
-            zr += h6 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-            zi += h6 * (i1 + 2.0 * i2 + 2.0 * i3 + i4)
-        out[j] = beta, delta, zr, zi
-    return out
-
-
 # RK4 step of the stable manifold's backward run and its forward round trip.  Halving it
 # moves the gated fit values by about 1e-10 relative (test_ode_presets_are_step_converged).
 BACKWARD_STEP = 1e-3
@@ -643,6 +587,12 @@ def _fixed_point_integral(q: np.ndarray, e: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def stable_manifold_t_start(beta_inf: float, alpha: float, m: float) -> float:
+    """Default ``t_start``: where beta_inf e^{-(a+alpha)t} has decayed to 1e-6 M, at least 1."""
+    return max(math.log(beta_inf / (1e-6 * m)) / asymptotic_constants(alpha, m).decay_rate,
+               1.0)
+
+
 def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start: float = None,
                                t_end_back: float = 0.0) -> StableManifoldResult:
     """Construct the trajectory that decays to the circle orbit like e^{-(a+alpha)t}.
@@ -662,8 +612,7 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
        ``BACKWARD_STEP`` (1e-3), and
     4. re-integrates forward as a round-trip consistency check.
 
-    ``t_start`` defaults to the time where the leading profile has decayed
-    to 1e-6 of the momentum.  A non-contracting iteration raises
+    ``t_start`` defaults to :func:`stable_manifold_t_start`.  A non-contracting iteration raises
     :class:`FixedPointDivergenceError`; choose a larger ``t_start``.  A
     backward run that leaves the float range raises :class:`BlowUpError` at
     the last finite time it reached.
@@ -673,7 +622,7 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     consts = asymptotic_constants(alpha, m)
     a_const, rate = consts.a, consts.decay_rate
     if t_start is None:
-        t_start = max(math.log(beta_inf / (1e-6 * m)) / rate, 1.0)
+        t_start = stable_manifold_t_start(beta_inf, alpha, m)
     if t_end_back >= t_start:
         raise ValueError("t_end_back must be smaller than t_start")
 
@@ -718,9 +667,11 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     step = (t_start - t_end_back) / n_steps
     steps = _record_steps(n_steps, 1)
     t_back = t_start + np.array(steps) * -step
-    back = _rk4_delta(seed.tolist(), -step, steps, alpha, m)
+    # stepped in the chart x = gamma - M = -delta of _rk4_reduced; negation is exact
+    flip = np.array([1.0, -1.0, 1.0, 1.0])
+    back = _rk4_reduced((seed * flip).tolist(), -step, steps, alpha, m, m) * flip
     _require_finite(t_back, back)
-    forward = _rk4_delta(back[-1].tolist(), step, [0, n_steps], alpha, m)[-1]
+    forward = _rk4_reduced((back[-1] * flip).tolist(), step, [0, n_steps], alpha, m, m)[-1] * flip
     roundtrip = float(np.max(np.abs(forward - seed)))
 
     rows = back[::-1]

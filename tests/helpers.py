@@ -5,13 +5,13 @@ Most are independent brute-force computations.  ``reference_gram`` and
 H^s sum, kept as oracles for their rewrites.  ``gram_h`` and ``rhs`` are
 thin wrappers over the package's Gram and band kernels, so the tests built
 on them still exercise the package code; ``delta_rhs`` reads its Q from the
-package's ``_delta_form_q``.  ``w_rhs``, ``factored_reduced_rhs`` and
-``factored_delta_rhs`` with ``reference_rk4`` are the per-stage forms of the
-package's fused RK4 loops; ``reduced_rhs`` and ``delta_rhs`` are the unfactored
-right-hand sides the factored ones are held to, themselves equal to the
-complex formulas.  ``reference_fixed_point_integral`` is the stable
-manifold's fixed-point sweep as the sequential loop over the grid that the
-doubling scan replaced.
+package's ``_delta_form_q``.  ``w_rhs``, and ``factored_reduced_rhs`` with
+``reference_rk4``, are the per-stage forms of the package's fused RK4 loops,
+the latter in either chart of the reduced loop; ``reduced_rhs`` and
+``delta_rhs`` are the unfactored right-hand sides the factored one is held to,
+themselves equal to the complex formulas.  ``reference_fixed_point_integral``
+is the stable manifold's fixed-point sweep as the sequential loop over the
+grid that the doubling scan replaced.
 """
 
 import numpy as np
@@ -243,31 +243,19 @@ def delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float, m: 
     )
 
 
-def factored_reduced_rhs(beta: float, gamma: float, zr: float, zi: float, alpha: float,
-                         m: float):
-    """:func:`reduced_rhs` in the 20-operation arithmetic of ``wmanifold._rk4_reduced``:
-    q = M + beta - 3 gamma and z = 2 Im zeta, with dgamma = -z."""
-    q = m + beta - 3.0 * gamma
+def factored_reduced_rhs(beta: float, x: float, zr: float, zi: float, alpha: float,
+                         m: float, g0: float = 0.0):
+    """:func:`reduced_rhs` at gamma = g0 + x, as derivatives (dbeta, dx, dzr, dzi), in the
+    21-operation arithmetic of ``wmanifold._rk4_reduced``: g = g0 + x, q = M + beta - 3g,
+    M - gamma formed as (M - g0) - x, and z = 2 Im zeta, with dx = -z."""
+    g = g0 + x
+    q = m + beta - 3.0 * g
     z = zi + zi
     return (
         -2.0 * alpha * beta + z,
         -z,
         -alpha * zr + q * zi,
-        -alpha * zi - q * zr + gamma * (gamma * (m - gamma + 3.0 * beta) - 2.0 * m * beta),
-    )
-
-
-def factored_delta_rhs(beta: float, delta: float, zr: float, zi: float, alpha: float,
-                       m: float):
-    """:func:`delta_rhs` in the arithmetic of ``wmanifold._rk4_delta``: q = beta + 3 delta - 2M."""
-    q = beta + 3.0 * delta - 2.0 * m
-    z = zi + zi
-    return (
-        -2.0 * alpha * beta + z,
-        z,
-        -alpha * zr + q * zi,
-        -alpha * zi - q * zr + m * m * (beta + delta)
-        + delta * (delta * (delta + 3.0 * beta - 2.0 * m) - 4.0 * m * beta),
+        -alpha * zi - q * zr + g * (g * (m - g0 - x + 3.0 * beta) - 2.0 * m * beta),
     )
 
 

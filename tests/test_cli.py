@@ -646,6 +646,11 @@ def test_baby_reads_m_from_initial_data():
     (["simulate", "--preset", "kappa_fit", "--t-end", "1e30"], "t_end"),
     (["wode", "--t-end", "1e300"], "t_end"),
     (["simulate", "--preset", "gaussian", "--t-end", "1e300"], "t_end"),
+    # t_end_back must lie below the default t_start too (about 5.3 here)
+    (["simulate", "--preset", "stable_manifold", "--t-end-back", "10"], "t_end_back"),
+    # a gaussian width and a perturbed_circle epsilon are real
+    (["spectrum", "--ic", "gaussian:10+5j"], "ic"),
+    (["spectrum", "--ic", "perturbed_circle:0.05+1j"], "ic"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -745,3 +750,8 @@ def test_initial_condition_domain_validation():
         parse_initial_condition("perturbed_circle:-0.1", 64)
     with pytest.raises(ConfigError):
         parse_initial_condition("blaschke:1.5", 64)
+    # a width or epsilon with an imaginary part is rejected, not truncated to its real part
+    for spec in ("gaussian:10+5j", "perturbed_circle:0.05+1j"):
+        with pytest.raises(ConfigError) as err:
+            parse_initial_condition(spec, 64)
+        assert err.value.field == "ic"

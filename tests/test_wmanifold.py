@@ -40,7 +40,6 @@ from damped_szego.wmanifold import (
 from damped_szego.wmanifold import (
     _fixed_point_integral,
     _record_steps,
-    _rk4_delta,
     _rk4_reduced,
     _rk4_w,
 )
@@ -48,7 +47,6 @@ from helpers import (
     complex_delta_rhs,
     complex_reduced_rhs,
     delta_rhs,
-    factored_delta_rhs,
     factored_reduced_rhs,
     finite_diff,
     hs_norm_sq,
@@ -235,10 +233,15 @@ def test_real_rhs_equal_complex_oracles_bitwise(beta, gamma, zr, zi, alpha, m):
        alpha=st.floats(0.0, 2.0), m=st.floats(0.1, 3.0))
 @example(beta=3.0, gamma=3.0, zr=3.0, zi=3.0, alpha=2.0, m=3.0)
 def test_factored_rhs_match_unfactored_to_roundoff(beta, gamma, zr, zi, alpha, m):
-    # gamma doubles as delta
-    for factored, plain in ((factored_reduced_rhs, reduced_rhs), (factored_delta_rhs, delta_rhs)):
-        want = np.array(plain(beta, gamma, zr, zi, alpha, m))
-        got = np.array(factored(beta, gamma, zr, zi, alpha, m))
+    # gamma doubles as delta, which the chart g0 = M carries as x = -delta
+    to_x = np.array([1.0, -1.0, 1.0, 1.0])
+    for got, want in (
+        (factored_reduced_rhs(beta, gamma, zr, zi, alpha, m),
+         reduced_rhs(beta, gamma, zr, zi, alpha, m)),
+        (factored_reduced_rhs(beta, -gamma, zr, zi, alpha, m, m),
+         to_x * delta_rhs(beta, gamma, zr, zi, alpha, m)),
+    ):
+        got, want = np.array(got), np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
@@ -390,6 +393,8 @@ def test_stable_manifold_matches_reference_run():
     got = np.column_stack([res.beta, res.delta, res.zeta.real, res.zeta.imag])
     want = y[::-1]
     assert np.max(np.abs(got - want) / np.abs(want).max(axis=0)) < 1e-14
+    # the delta chart's purpose: small entries keep their relative accuracy
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 # (n_steps, stride): a single step, a stride past the end, a partial last chunk
@@ -406,16 +411,15 @@ def test_fused_real_loops_equal_references_bitwise(n_steps, stride, beta, gamma,
     dt = -dt if backward else dt
     steps = _record_steps(n_steps, stride)
     y0 = (beta, gamma, zr, zi)
-    got = _rk4_reduced(y0, dt, steps, alpha, m)
-    want = reference_rk4(lambda *x: factored_reduced_rhs(*x, alpha, m), y0, dt, n_steps, stride)
-    assert got.tobytes() == want.tobytes()
-    _, rb, rg, rz = reference_integrate_reduced(ReducedState(beta, gamma, complex(zr, zi)),
-                                                alpha, m, dt, n_steps * dt, stride)
-    assert _roundoff_close(got, np.column_stack([rb, rg, rz.real, rz.imag]))
-    # gamma doubles as delta
-    got = _rk4_delta(y0, dt, steps, alpha, m)
-    want = reference_rk4(lambda *x: factored_delta_rhs(*x, alpha, m), y0, dt, n_steps, stride)
-    assert got.tobytes() == want.tobytes()
+    # both charts: gamma doubles as x = gamma - g0
+    for g0 in (0.0, m):
+        got = _rk4_reduced(y0, dt, steps, alpha, m, g0)
+        want = reference_rk4(lambda *x: factored_reduced_rhs(*x, alpha, m, g0), y0, dt,
+                             n_steps, stride)
+        assert got.tobytes() == want.tobytes()
+        _, rb, rg, rz = reference_integrate_reduced(
+            ReducedState(beta, g0 + gamma, complex(zr, zi)), alpha, m, dt, n_steps * dt, stride)
+        assert _roundoff_close(got, np.column_stack([rb, rg - g0, rz.real, rz.imag]))
 
 
 @pytest.mark.parametrize("n_steps, stride", RUN_SHAPES)
@@ -443,12 +447,13 @@ def test_reduced_loop_on_arrays_equals_scalar_runs_bitwise(n_steps, stride, seed
     rng = np.random.default_rng(seed)
     y0 = (rng.uniform(0.0, 1.0, 7), *rng.uniform(-1.0, 1.0, (3, 7)))
     before = [v.copy() for v in y0]
-    got = _rk4_reduced(y0, dt, steps, alpha, m)
-    assert got.shape == (len(steps), 4, 7)
-    assert all(np.array_equal(v, w) for v, w in zip(y0, before))
-    for j in range(7):
-        want = _rk4_reduced(tuple(float(v[j]) for v in y0), dt, steps, alpha, m)
-        assert got[:, :, j].tobytes() == want.tobytes()
+    for g0 in (0.0, m):  # both charts
+        got = _rk4_reduced(y0, dt, steps, alpha, m, g0)
+        assert got.shape == (len(steps), 4, 7)
+        assert all(np.array_equal(v, w) for v, w in zip(y0, before))
+        for j in range(7):
+            want = _rk4_reduced(tuple(float(v[j]) for v in y0), dt, steps, alpha, m, g0)
+            assert got[:, :, j].tobytes() == want.tobytes()
 
 
 @settings(max_examples=12, deadline=None)
@@ -527,8 +532,9 @@ def test_rank_one_loops_make_no_python_call_per_step():
     runs = [
         lambda n: integrate_reduced(r0, 1.0, 2.0, 1e-3, n * 1e-3, record_stride=n // 10),
         lambda n: integrate_w(w0, 1.0, 1e-3, n * 1e-3, record_stride=n // 10),
-        lambda n: _rk4_delta((0.01, 0.005, 0.0, -0.001), -1e-3, _record_steps(n, n // 10),
-                             1.0, 2.0),
+        # the stable manifold's chart: x = -delta at g0 = M
+        lambda n: _rk4_reduced((0.01, -0.005, 0.0, -0.001), -1e-3, _record_steps(n, n // 10),
+                               1.0, 2.0, 2.0),
     ]
     for run in runs:
         assert _python_calls(lambda: run(1000)) == _python_calls(lambda: run(2000)) > 0
@@ -561,8 +567,8 @@ def test_ode_rk4_halving_dt_gains_factor_16(system):
             traj = integrate_w(w0, 1.0, dt, t_end, record_stride=10**9)
             return np.array([traj.b[-1], traj.c[-1], traj.p[-1]])
         if system == "delta":
-            x0 = (r0.beta, m - r0.gamma, r0.zeta.real, r0.zeta.imag)
-            return _rk4_delta(x0, dt, [0, round(t_end / dt)], 1.0, m)[-1]
+            x0 = (r0.beta, r0.gamma - m, r0.zeta.real, r0.zeta.imag)  # x = -delta
+            return _rk4_reduced(x0, dt, [0, round(t_end / dt)], 1.0, m, m)[-1]
         traj = integrate_reduced(r0, 1.0, m, dt, t_end, record_stride=10**9)
         return np.array([traj.beta[-1], traj.gamma[-1], traj.zeta[-1]])
 
