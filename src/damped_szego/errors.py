@@ -37,10 +37,9 @@ class FitError(SzegoError):
 
 
 class FixedPointDivergenceError(SzegoError):
-    """The scattering fixed-point iteration failed to contract.
+    """The stable manifold's power-series seed did not converge at ``t_start``.
 
-    Usually means the matching time was chosen too small; retry with a
-    larger ``t_start``.
+    Its variable beta_inf e^{-(a+alpha) t_start} is too large; retry with a larger ``t_start``.
     """
 
 

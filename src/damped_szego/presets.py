@@ -34,6 +34,7 @@ from .wmanifold import (
     linearization_matrix,
     linearized_q0,
     record_times,
+    stable_manifold_t_max,
     stable_manifold_t_start,
     stable_manifold_trajectory,
 )
@@ -103,11 +104,13 @@ class ExperimentConfig:
         # check_lyapunov needs three records: u(0), the one at record_stride and the last.
         pde_too_short = (row.run is _run_pde
                          and math.isfinite(steps) and round(steps) <= self.record_stride)
-        # The stable manifold's run starts at t_start, given or by default.
-        t_start = self.t_start
-        if (t_start is None and row.run is _run_stable and 0 < self.beta_inf < math.inf
+        # The stable manifold's run starts at t_start, given or by default, at most t_max.
+        t_start, t_max = self.t_start, math.inf
+        if (row.run is _run_stable and 0 < self.beta_inf < math.inf
                 and closed_form_finite(self.alpha, self.m)):
-            t_start = stable_manifold_t_start(self.beta_inf, self.alpha, self.m)
+            t_max = stable_manifold_t_max(self.beta_inf, self.alpha, self.m)
+            if t_start is None:
+                t_start = stable_manifold_t_start(self.beta_inf, self.alpha, self.m)
         require({
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
             "alpha": (closed_form_finite(self.alpha, 1.0) if row.closed_form
@@ -134,8 +137,10 @@ class ExperimentConfig:
                                   "Sobolev exponents must be finite and >= 1/2"),
             "beta_inf": (0 < self.beta_inf < math.inf, "beta_inf must be positive and finite"),
             # Both stable-manifold fit windows end at t_start.
-            "t_start": (self.t_start is None or 0 < self.t_start < math.inf,
-                        "t_start must be positive and finite"),
+            "t_start": ((self.t_start is None or 0 < self.t_start < math.inf)
+                        and (t_start is None or t_start <= t_max),
+                        "t_start must be positive, finite and at most "
+                        "log(beta_inf / sys.float_info.min) / (a + alpha)"),
             "t_end_back": (math.isfinite(self.t_end_back)
                            and (t_start is None or self.t_end_back < t_start),
                            "t_end_back must be finite and smaller than t_start (by default "

@@ -4,11 +4,12 @@ States u = b + c e^{ix} / (1 - p e^{ix}) with |p| < 1, c != 0 are exactly
 the symbols whose shifted Hankel operator has rank one, and the damped flow
 restricts to an explicit ODE in (b, c, p).  At fixed momentum M it reduces to
 the gauge-invariant (beta, gamma, zeta) = (|b|^2, M(1-|p|^2), M c conj(b) conj(p)),
-stepped in gamma for the slow algebraic decay of exploding orbits and in
-gamma - M = -delta for trajectories converging to the circle orbit.
+stepped in gamma for the slow algebraic decay of exploding orbits and, from a
+power-series seed, in gamma - M = -delta for trajectories converging to the circle orbit.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ __all__ = [
     "linearized_q0",
     "linearization_matrix",
     "stable_manifold_t_start",
+    "stable_manifold_t_max",
     "stable_manifold_trajectory",
     "beta_decay_rate",
     "delta_beta_ratio",
@@ -538,7 +540,7 @@ class StableManifoldResult:
     t_start: float
     seed: np.ndarray
     roundtrip_residual: float
-    fp_iterations: int
+    fp_iterations: int  # terms of the seed's power series
 
 
 def _delta_form_q(beta, delta, zr, zi, m):
@@ -561,36 +563,45 @@ def _delta_form_q(beta, delta, zr, zi, m):
 BACKWARD_STEP = 1e-3
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eig(a)
-    return (v @ np.diag(np.exp(w)) @ np.linalg.inv(v)).real
-
-
-def _fixed_point_integral(q: np.ndarray, e: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoidal int_{t_i}^{t_n} e^{(s - t_i) A} Q(s) ds at every row of a grid of step h.
-
-    ``q`` holds Q at the n + 1 grid times and ``e`` = e^{hA}.  Row i is the sum
-    acc_i = f_i + E acc_{i+1} of the steps f_i = h/2 (q_i + E q_{i+1}), and
-    row n is zero.  The sum is a Hillis-Steele doubling scan: after the pass
-    of stride d, row i holds sum_{j=i}^{i+2d-1} E^{j-i} f_j, so ceil(log2 n)
-    matmuls replace a loop over the grid.  Only powers of E are formed, and
-    no eigendecomposition.
-    """
-    out = np.zeros_like(q)
-    acc = out[:-1]
-    acc[:] = 0.5 * h * (q[:-1] + q[1:] @ e.T)
-    d = 1
-    while d < acc.shape[0]:
-        acc[:-d] += acc[d:] @ e.T
-        e = e @ e
-        d *= 2
-    return out
+# The most orders the stable-manifold seed's power series takes before it counts as divergent.
+_MAX_SERIES_ORDER = 60
 
 
 def stable_manifold_t_start(beta_inf: float, alpha: float, m: float) -> float:
     """Default ``t_start``: where beta_inf e^{-(a+alpha)t} has decayed to 1e-6 M, at least 1."""
     return max(math.log(beta_inf / (1e-6 * m)) / asymptotic_constants(alpha, m).decay_rate,
                1.0)
+
+
+def stable_manifold_t_max(beta_inf: float, alpha: float, m: float) -> float:
+    """Largest ``t_start`` at which beta_inf e^{-(a+alpha)t} is a normal float."""
+    rate = asymptotic_constants(alpha, m).decay_rate
+    return (math.log(beta_inf) - math.log(sys.float_info.min)) / rate
+
+
+def _manifold_terms(beta_inf: float, alpha: float, m: float, t: float) -> np.ndarray:
+    """Terms c_k eps^k (k >= 1) of X(t) on the stable manifold, eps = beta_inf e^{-(a+alpha)t}.
+
+    c_1 is the eigenvector of A for alpha + a with beta component 1.  For k >= 2,
+    (A - k(a+alpha)) c_k is the eps^k coefficient of Q on the series cut after order k - 1,
+    and k(a+alpha) is no eigenvalue of A.  The terms stop at the first adding <= 1e-17 of the sum.
+    """
+    c = asymptotic_constants(alpha, m)
+    a_mat, _ = linearization_matrix(alpha, m)
+    eps = math.exp(math.log(beta_inf) - c.decay_rate * t)
+    terms = [eps * np.array([1.0, (c.a - alpha) / (c.a + alpha), m * (alpha - c.a) / c.a,
+                             0.5 * (alpha - c.a)])]
+    for k in range(2, _MAX_SERIES_ORDER + 1):
+        cols = [np.polynomial.Polynomial(np.r_[0.0, col]) for col in np.transpose(terms)]
+        q = [p.coef[k] if k < p.coef.size else 0.0 for p in _delta_form_q(*cols, m)]
+        terms.append(np.linalg.solve(a_mat - k * c.decay_rate * np.eye(4), [0.0, 0.0, *q]))
+        total = np.sum(terms, axis=0)
+        if not np.all(np.isfinite(total)):
+            break
+        if np.max(np.abs(terms[-1])) <= 1e-17 * np.max(np.abs(total)):
+            return np.array(terms)
+    raise FixedPointDivergenceError(f"stable-manifold series did not converge by order {k}; "
+                                    f"increase t_start from {t:.3g}")
 
 
 def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start: float = None,
@@ -600,67 +611,27 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     The solution is pinned at infinity by its leading coefficient
     ``beta_inf``: the 4-vector X = (beta, delta, Re zeta, Im zeta) satisfies
     dX/dt + A X = Q(X) and behaves like beta_inf e^{-(a+alpha)t} v, with v
-    the eigenvector of A for the eigenvalue alpha + a.  The construction
+    the eigenvector of A for the eigenvalue alpha + a.  The construction seeds
+    X(t_start) with its power series in beta_inf e^{-(a+alpha)t} (:func:`_manifold_terms`),
+    integrates backward to ``t_end_back`` with RK4 at step ``BACKWARD_STEP`` (1e-3)
+    and forward again as a round-trip consistency check.
 
-    1. seeds X on [t_start, t_start + L] with the leading-order profile,
-    2. refines it on a grid of step 1e-3 by at most 60 sweeps of the fixed point
-       X(t) = e^{-tA} X_inf - int_t^inf e^{(s-t)A} Q(X(s)) ds,
-       with the trapezoidal rule on each step and the sum over steps taken by a
-       doubling scan (:func:`_fixed_point_integral`) rather than a loop over the grid,
-       until the e^{(a+alpha)t}-weighted sup norm moves less than 1e-12 max(beta_inf, 1),
-    3. integrates the ODE backward to ``t_end_back`` with RK4 at step
-       ``BACKWARD_STEP`` (1e-3), and
-    4. re-integrates forward as a round-trip consistency check.
-
-    ``t_start`` defaults to :func:`stable_manifold_t_start`.  A non-contracting iteration raises
+    ``t_start`` defaults to :func:`stable_manifold_t_start` and may be at most
+    :func:`stable_manifold_t_max`.  A series that does not converge raises
     :class:`FixedPointDivergenceError`; choose a larger ``t_start``.  A
     backward run that leaves the float range raises :class:`BlowUpError` at
     the last finite time it reached.
     """
     if beta_inf <= 0:
         raise ValueError("beta_inf must be positive")
-    consts = asymptotic_constants(alpha, m)
-    a_const, rate = consts.a, consts.decay_rate
     if t_start is None:
         t_start = stable_manifold_t_start(beta_inf, alpha, m)
     if t_end_back >= t_start:
         raise ValueError("t_end_back must be smaller than t_start")
-
-    a_mat, _ = linearization_matrix(alpha, m)
-    v_inf = beta_inf * np.array(
-        [1.0, (a_const - alpha) / (a_const + alpha), m * (alpha - a_const) / a_const,
-         0.5 * (alpha - a_const)]
-    )
-
-    # fixed-point refinement on a grid covering the asymptotic regime
-    span = 16.0 / rate
-    h = 1e-3
-    n_grid = int(math.ceil(span / h))
-    ts = t_start + h * np.arange(n_grid + 1)
-    hom = np.exp(-rate * ts)[:, None] * v_inf[None, :]
-    exp_h = _expm(h * a_mat)
-    x = hom.copy()
-    weight = np.exp(rate * ts)
-    scale = max(beta_inf, 1.0)
-    for iterations in range(1, 61):
-        q = np.zeros_like(x)
-        q[:, 2], q[:, 3] = _delta_form_q(x[:, 0], x[:, 1], x[:, 2], x[:, 3], m)
-        x_new = hom - _fixed_point_integral(q, exp_h, h)
-        change = float(np.max(weight[:, None] * np.abs(x_new - x)))
-        if not math.isfinite(change) or change > 1e6 * scale:
-            raise FixedPointDivergenceError(
-                f"fixed-point iteration diverged (weighted change {change:.3e}); "
-                f"increase t_start from {t_start:.3g}"
-            )
-        x = x_new
-        if change < 1e-12 * scale:
-            break
-    else:
-        raise FixedPointDivergenceError(
-            f"fixed-point iteration did not reach 1e-12 in {iterations} sweeps; "
-            f"increase t_start from {t_start:.3g}"
-        )
-    seed = x[0].copy()
+    if t_start > stable_manifold_t_max(beta_inf, alpha, m):
+        raise ValueError("t_start must leave beta_inf e^{-(a+alpha) t_start} a normal float")
+    terms = _manifold_terms(beta_inf, alpha, m, t_start)
+    seed = terms.sum(axis=0)
 
     # backward to t_end_back, then forward again as the round-trip check
     n_steps = max(1, int(round((t_start - t_end_back) / BACKWARD_STEP)))
@@ -686,7 +657,7 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
         t_start=t_start,
         seed=seed,
         roundtrip_residual=roundtrip,
-        fp_iterations=iterations,
+        fp_iterations=len(terms),
     )
 
 

@@ -9,9 +9,10 @@ package's ``_delta_form_q``.  ``w_rhs``, and ``factored_reduced_rhs`` with
 ``reference_rk4``, are the per-stage forms of the package's fused RK4 loops,
 the latter in either chart of the reduced loop; ``reduced_rhs`` and
 ``delta_rhs`` are the unfactored right-hand sides the factored one is held to,
-themselves equal to the complex formulas.  ``reference_fixed_point_integral``
-is the stable manifold's fixed-point sweep as the sequential loop over the
-grid that the doubling scan replaced.
+themselves equal to the complex formulas.  ``trapezoid_manifold_seed`` is the
+stable manifold's seed from the integral fixed point on a trapezoid grid, the
+construction its power series replaced, with ``reference_fixed_point_integral``
+as its sweep.
 """
 
 import numpy as np
@@ -20,7 +21,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from damped_szego.hankel import _gram, eigenvalues, explosion_criterion, gram_k, k_spectrum
 from damped_szego.hardy import GridField, HardyState, grid_points
 from damped_szego.solver import _extent, _grid, _rhs_coeffs
-from damped_szego.wmanifold import ReducedState, _delta_form_q, linearization_matrix
+from damped_szego.wmanifold import (
+    ReducedState,
+    _delta_form_q,
+    asymptotic_constants,
+    linearization_matrix,
+)
 
 
 def fmt(x) -> str:
@@ -385,3 +391,30 @@ def reference_fixed_point_integral(q, exp_h, h):
         acc = 0.5 * h * (q[i] + exp_h @ q[i + 1]) + exp_h @ acc
         integral[i] = acc
     return integral
+
+
+def trapezoid_manifold_seed(beta_inf, alpha, m, t_start, h):
+    """X(t_start) on the stable manifold from the fixed point
+    X(t) = e^{-tA} X_inf - int_t^inf e^{(s-t)A} Q(X(s)) ds, taken by the trapezoid rule
+    on a grid of step h over [t_start, t_start + 16/(a+alpha)] and swept from the
+    leading-order profile until the e^{(a+alpha)t}-weighted change is below
+    1e-12 max(beta_inf, 1), in at most 60 sweeps."""
+    c = asymptotic_constants(alpha, m)
+    a_mat, _ = linearization_matrix(alpha, m)
+    w, v = np.linalg.eig(h * a_mat)
+    exp_h = (v @ np.diag(np.exp(w)) @ np.linalg.inv(v)).real
+    ts = t_start + h * np.arange(int(np.ceil(16.0 / c.decay_rate / h)) + 1)
+    v_inf = beta_inf * np.array([1.0, (c.a - alpha) / (c.a + alpha), m * (alpha - c.a) / c.a,
+                                 0.5 * (alpha - c.a)])
+    hom = np.exp(-c.decay_rate * ts)[:, None] * v_inf
+    weight = np.exp(c.decay_rate * ts)[:, None]
+    x = hom
+    for _ in range(60):
+        q = np.zeros_like(x)
+        q[:, 2], q[:, 3] = _delta_form_q(*x.T, m)
+        x_new = hom - reference_fixed_point_integral(q, exp_h, h)
+        change = np.max(weight * np.abs(x_new - x))
+        x = x_new
+        if change < 1e-12 * max(beta_inf, 1.0):
+            return x[0]
+    raise AssertionError("the trapezoid fixed point did not converge in 60 sweeps")

@@ -309,8 +309,7 @@ def test_run_custom_writes_artifacts(tmp_path):
 
 
 def test_csv_artifacts_are_deterministic(tmp_path):
-    # every file but meta.json, which holds the wall clock; the stable manifold's
-    # fixed-point scan goes through BLAS matmul
+    # every file but meta.json, which holds the wall clock
     runs = [("custom", small_custom_overrides()), ("kappa_fit", {}), ("stable_manifold", {})]
     for preset, overrides in runs:
         cfg = build_config(preset, overrides)
@@ -651,6 +650,8 @@ def test_baby_reads_m_from_initial_data():
     # a gaussian width and a perturbed_circle epsilon are real
     (["spectrum", "--ic", "gaussian:10+5j"], "ic"),
     (["spectrum", "--ic", "perturbed_circle:0.05+1j"], "ic"),
+    # beta_inf e^{-(a+alpha) t_start} must be a normal float: t_start <= 272.4 here
+    (["simulate", "--preset", "stable_manifold", "--t-start", "300"], "t_start"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))

@@ -38,7 +38,7 @@ from damped_szego.wmanifold import (
     w_to_hardy,
 )
 from damped_szego.wmanifold import (
-    _fixed_point_integral,
+    _manifold_terms,
     _record_steps,
     _rk4_reduced,
     _rk4_w,
@@ -53,11 +53,11 @@ from helpers import (
     reduced_from_w,
     reduced_rhs,
     reference_delta_run,
-    reference_fixed_point_integral,
     reference_integrate_reduced,
     reference_integrate_w,
     reference_rk4,
     reference_sobolev_sq_w,
+    trapezoid_manifold_seed,
     w_rhs,
 )
 
@@ -325,13 +325,25 @@ def test_classification_and_dichotomy():
        c=st.complex_numbers(min_magnitude=0.2, max_magnitude=1.5),
        p=st.complex_numbers(max_magnitude=0.9))
 @example(b=0j, c=1 + 0j, p=0.5 + 0j)  # the wode default, ExplodesStrict
+@example(b=0j, c=0.25 + 0j, p=0.5 + 0j)  # slow: 2 kappa / gamma0 is about 109
+@example(b=0j, c=0.2 + 0j, p=0.5 + 0j)  # slower: 2 kappa / gamma0 is about 265
+@example(b=0j, c=0.25 + 0j, p=0.125 + 0j)  # near the circle: leaves it after t = 500
 def test_explodes_strict_rank_one_states_explode(b, c, p):
     # the proved direction only: ExplodesStrict data have unbounded H^s norms, which on
-    # the rank-one manifold means |p| -> 1; Inconclusive data may do either
+    # the rank-one manifold means |p| -> 1; Inconclusive data may do either.  A run
+    # first leaves the circle orbit, at the rate a - alpha of its unstable direction,
+    # from the margin F - ||u||^2 > 0 (F = M here); then gamma ~ kappa / t halves
+    # 1 - |p|^2 near t = 2 kappa / gamma0.  Each run goes to the escape time plus twice
+    # that, and to t = 50 at least.
     w0 = WState(b, c, p)
     _, _, summary = spectrum_report(w_to_hardy(w0, 1024), size=128)
     if summary["verdict"] == "ExplodesStrict":
-        traj = integrate_w(w0, 1.0, dt=2e-3, t_end=50.0, record_stride=50)
+        m = w0.momentum
+        consts = asymptotic_constants(1.0, m)
+        escape = np.log(m / (summary["f_value"] - summary["l2_sq"])) / (consts.a - 1.0)
+        t_end = max(50.0, escape + 4.0 * consts.kappa / (m * (1.0 - abs(p) ** 2)))
+        traj = integrate_w(w0, 1.0, dt=2e-3, t_end=t_end,
+                           record_stride=max(1, round(t_end / 2e-3 / 1000)))
         assert classify_w_run(traj) == "exploding"
 
 
@@ -548,13 +560,6 @@ def test_rank_one_loops_make_no_python_call_per_step():
     assert calls[0] == calls[1]
 
 
-def test_fixed_point_sweep_makes_no_python_call_per_grid_point():
-    e = wmanifold._expm(1e-3 * linearization_matrix(1.0, 2.0)[0])
-    q = np.random.default_rng(0).standard_normal((4001, 4))
-    calls = [_python_calls(lambda: _fixed_point_integral(q[:n], e, 1e-3)) for n in (1001, 4001)]
-    assert calls[0] == calls[1] > 0
-
-
 @pytest.mark.parametrize("system", ["w", "reduced", "delta"])
 def test_ode_rk4_halving_dt_gains_factor_16(system):
     w0 = W_STATES[2]
@@ -738,23 +743,30 @@ def test_stable_manifold_seed_matches_eigenvector_direction():
 
 @settings(max_examples=8, deadline=None)
 @given(alpha=st.floats(0.5, 2.0), m=st.floats(0.5, 3.0), beta_inf=st.floats(0.1, 2.0))
-def test_fixed_point_scan_matches_sequential_sweep(alpha, m, beta_inf):
-    # the first and the last sweep of a construction, against the loop over the grid
-    sweeps = []
-
-    def spy(q, e, h):
-        sweeps.append((q, e, h))
-        return _fixed_point_integral(q, e, h)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wmanifold, "_fixed_point_integral", spy)
-        res = stable_manifold_trajectory(beta_inf, alpha, m)
+def test_manifold_series_solves_the_delta_system(alpha, m, beta_inf):
+    # X = sum c_k eps^k with eps = beta_inf e^{-(a+alpha)t} has dX/dt = sum -k(a+alpha) c_k eps^k;
+    # held to the complex right-hand side, which does not read _delta_form_q, at eps = 0.2 M
+    # (about 10 orders) and at and after the default t_start (4 orders)
     rate = asymptotic_constants(alpha, m).decay_rate
-    for q, e, h in (sweeps[0], sweeps[-1]):
-        got = _fixed_point_integral(q, e, h)
-        want = reference_fixed_point_integral(q, e, h)
-        weight = np.exp(rate * (res.t_start + h * np.arange(q.shape[0])))[:, None]
-        assert np.max(weight * np.abs(got - want)) <= 1e-13 * np.max(weight * np.abs(want))
+    t_start = wmanifold.stable_manifold_t_start(beta_inf, alpha, m)
+    for t in (np.log(beta_inf / (0.2 * m)) / rate, t_start, t_start + 2.0 / rate):
+        terms = _manifold_terms(beta_inf, alpha, m, t)
+        beta, delta, zr, zi = terms.sum(axis=0)
+        rhs = complex_delta_rhs(beta, delta, complex(zr, zi), alpha, m)
+        want = np.array([rhs[0], rhs[1], rhs[2].real, rhs[2].imag])
+        got = -rate * (np.arange(1, len(terms) + 1) @ terms)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_trapezoid_fixed_point_seed_converges_to_the_series():
+    # the integral fixed point on a trapezoid grid of step h carries an O(h^2) error;
+    # halving h must shrink its distance from the series seed by about 4
+    alpha = m = beta_inf = 1.0
+    t_start = wmanifold.stable_manifold_t_start(beta_inf, alpha, m)
+    series = _manifold_terms(beta_inf, alpha, m, t_start).sum(axis=0)
+    errors = [np.max(np.abs(trapezoid_manifold_seed(beta_inf, alpha, m, t_start, h) - series))
+              for h in (1e-3, 5e-4)]
+    assert errors[0] >= 3.5 * errors[1] > 0
 
 
 def test_stable_manifold_divergence_suggests_larger_t_start():
@@ -775,6 +787,10 @@ def test_stable_manifold_rejects_bad_window():
         stable_manifold_trajectory(1.0, 1.0, 1.0, t_start=2.0, t_end_back=3.0)
     with pytest.raises(ValueError):
         stable_manifold_trajectory(-1.0, 1.0, 1.0)
+    # beta_inf e^{-(a+alpha) t_start} falls below sys.float_info.min after t_start = 272.4
+    assert wmanifold.stable_manifold_t_max(1.0, 1.0, 1.0) == pytest.approx(272.409, abs=1e-3)
+    with pytest.raises(ValueError, match="t_start"):
+        stable_manifold_trajectory(1.0, 1.0, 1.0, t_start=272.5)
 
 
 # --- Sobolev growth ----------------------------------------------------------
