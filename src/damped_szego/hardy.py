@@ -1,8 +1,9 @@
 """Truncated Hardy-space states and their basic functionals.
 
 A state holds the Fourier coefficients u_hat(0..N/2-1) of a function with
-no negative-frequency content, sampled on the N-point grid
-x_n = -pi + 2*pi*n/N, n = 1..N.  The Nyquist mode N/2 is kept identically
+no negative-frequency content.  ``to_grid`` returns its sample array on the
+N-point grid x_n = -pi + 2*pi*n/N, n = 1..N, and ``from_grid`` projects
+such an array back onto a state.  The Nyquist mode N/2 is kept identically
 zero so that projection and truncation commute.
 """
 
@@ -14,7 +15,6 @@ from .errors import InvalidGridError
 
 __all__ = [
     "HardyState",
-    "GridField",
     "grid_points",
     "to_grid",
     "from_grid",
@@ -55,58 +55,36 @@ class HardyState:
         return self.grid_size // 2
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Complex samples at the N collocation points of a HardyState."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 1 or v.shape[0] == 0 or v.shape[0] % 2 != 0:
-            raise InvalidGridError(f"grid values must have even positive length, got shape {v.shape}")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def grid_size(self):
-        return self.values.shape[0]
-
-
 def grid_points(n: int) -> np.ndarray:
     """Collocation points x_n = -pi + 2*pi*n/N for n = 1..N."""
     return -np.pi + 2.0 * np.pi * np.arange(1, n + 1) / n
 
 
-def _coeffs_to_values(coeffs: np.ndarray, n: int) -> np.ndarray:
+def to_grid(u: HardyState) -> np.ndarray:
+    """Sample array of u at the collocation points: values[n] = sum_k u_hat(k) e^{i k x_n}."""
     # e^{ik(-pi)} = (-1)^k twists the standard DFT onto the offset grid;
     # the roll accounts for n running 1..N instead of 0..N-1.
+    n, coeffs = u.grid_size, u.coeffs
     k = np.arange(coeffs.shape[0])
     full = np.zeros(n, dtype=complex)
     full[: coeffs.shape[0]] = coeffs * np.where(k % 2 == 0, 1.0, -1.0)
     return np.roll(np.fft.ifft(full) * n, -1)
 
 
-def _values_to_coeffs(values: np.ndarray, n: int) -> np.ndarray:
-    full = np.fft.fft(np.roll(values, 1)) / n
-    k = np.arange(n // 2)
-    return full[: n // 2] * np.where(k % 2 == 0, 1.0, -1.0)
-
-
-def to_grid(u: HardyState) -> GridField:
-    """Evaluate u at the collocation points: values[n] = sum_k u_hat(k) e^{i k x_n}."""
-    return GridField(_coeffs_to_values(u.coeffs, u.grid_size))
-
-
-def from_grid(f: GridField) -> HardyState:
-    """Project grid samples onto nonnegative frequencies.
+def from_grid(values) -> HardyState:
+    """Project a sample array (1-D, of even positive length N) onto nonnegative frequencies.
 
     Computes the DFT and discards every negative wave number (and the
     Nyquist mode), which realises the Hardy-space projector on the grid.
     """
-    n = f.grid_size
-    return HardyState(_values_to_coeffs(f.values, n), n)
+    v = np.asarray(values, dtype=complex)
+    if v.ndim != 1 or v.shape[0] == 0 or v.shape[0] % 2 != 0:
+        raise InvalidGridError(f"grid values must be 1-D, of even positive length; "
+                               f"got shape {v.shape}")
+    n = v.shape[0]
+    full = np.fft.fft(np.roll(v, 1)) / n
+    k = np.arange(n // 2)
+    return HardyState(full[: n // 2] * np.where(k % 2 == 0, 1.0, -1.0), n)
 
 
 def inner_with_one(u: HardyState) -> complex:

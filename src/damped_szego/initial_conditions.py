@@ -1,16 +1,18 @@
 """Builders and a tiny ``kind:args`` parser for initial data."""
 
+import math
+from collections import namedtuple
+
 import numpy as np
 
-from .errors import ConfigError, NotInManifoldError
-from .hardy import GridField, HardyState, from_grid, grid_points
+from .errors import ConfigError, SzegoError, require
+from .hardy import HardyState, from_grid, grid_points, l2_norm_sq, momentum
 from .wmanifold import WState, w_to_hardy
 
 __all__ = [
     "pole_state",
     "poles_sum_state",
     "circle_state",
-    "perturbed_circle_state",
     "blaschke_state",
     "gaussian_state",
     "parse_initial_condition",
@@ -40,16 +42,6 @@ def circle_state(c: complex, n: int) -> HardyState:
     return HardyState(coeffs, n)
 
 
-def perturbed_circle_state(eps: float, n: int) -> HardyState:
-    """u = e^{ix} + eps, the constant-perturbed circle point."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    coeffs = np.zeros(n // 2, dtype=complex)
-    coeffs[0] = eps
-    coeffs[1] = 1.0
-    return HardyState(coeffs, n)
-
-
 def blaschke_state(poles, n: int) -> HardyState:
     """Finite product of factors (e^{ix} - p_j)/(1 - conj(p_j) e^{ix}), sampled and projected."""
     x = grid_points(n)
@@ -60,7 +52,7 @@ def blaschke_state(poles, n: int) -> HardyState:
         if abs(p) >= 1:
             raise ValueError(f"Blaschke parameter must satisfy |p| < 1, got {abs(p)}")
         values *= (z - p) / (1.0 - np.conj(p) * z)
-    return from_grid(GridField(values))
+    return from_grid(values)
 
 
 def gaussian_state(width: float, n: int) -> HardyState:
@@ -68,15 +60,38 @@ def gaussian_state(width: float, n: int) -> HardyState:
     if width <= 0:
         raise ValueError("width must be positive")
     x = grid_points(n)
-    return from_grid(GridField(np.exp(-width * x**2).astype(complex)))
+    return from_grid(np.exp(-width * x**2))
+
+
+def _perturbed_circle(n, eps):
+    """u = e^{ix} + eps, the constant-perturbed circle point: a pole at p = 0 with offset eps."""
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    return pole_state(0.0, n, offset=eps)
+
+
+# One row per kind: its builder build(n, *args), its fewest and most
+# parameters and whether they must be real.
+Kind = namedtuple("Kind", "build least most real", defaults=(False,))
+_KINDS = {
+    "pole": Kind(lambda n, p, amplitude=1.0, offset=0.0: pole_state(p, n, amplitude, offset),
+                 1, 3),  # pole:p[,amplitude[,offset]]
+    "poles": Kind(lambda n, *poles: poles_sum_state(poles, n), 1, math.inf),
+    "blaschke": Kind(lambda n, *poles: blaschke_state(poles, n), 1, math.inf),
+    "circle": Kind(lambda n, c: circle_state(c, n), 1, 1),
+    "perturbed_circle": Kind(_perturbed_circle, 1, 1, real=True),
+    "gaussian": Kind(lambda n, width: gaussian_state(width, n), 1, 1, real=True),
+    "wstate": Kind(lambda n, b, c, p: pole_state(p, n, c, b), 3, 3),  # wstate:b,c,p
+}
 
 
 def _parse_numbers(text):
+    """The comma-separated finite numbers of ``text``, a complex one only if its imaginary
+    part is nonzero; an empty field is an error, not a skipped or zero parameter."""
+    if not text.strip():
+        return []
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in map(str.strip, text.split(",")):
         try:
             val = complex(part)
         except ValueError as exc:
@@ -90,50 +105,30 @@ def _parse_numbers(text):
 def parse_initial_condition(spec: str, n: int) -> HardyState:
     """Build a state on a grid of ``n`` points (even, positive) from a ``kind:args`` string.
 
-    Supported kinds: ``pole:p[,amplitude[,offset]]``, ``poles:p1,p2,...``,
-    ``blaschke:p1[,p2,...]``, ``circle:c``, ``perturbed_circle:eps``,
-    ``gaussian:width``, ``wstate:b,c,p`` (complex entries accepted, e.g.
-    ``0.1+0.2j``, except for the real ``eps`` and ``width``).
+    ``_KINDS`` lists the kinds, each with its parameter count; complex
+    entries such as ``0.1+0.2j`` are accepted unless the kind is real-only.
+    The state's squared L2 norm and momentum must be finite floats.
     """
     if not (n > 0 and n % 2 == 0):
         raise ConfigError(f"grid size must be even and positive, got {n}", field="n")
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
+    if kind not in _KINDS:
+        raise ConfigError(f"unknown initial-condition kind {kind!r}", field="ic")
+    row = _KINDS[kind]
     args = _parse_numbers(rest)
-    if kind in ("gaussian", "perturbed_circle") and any(isinstance(a, complex) for a in args):
-        raise ConfigError(f"{kind} takes a real parameter", field="ic")
-    try:
-        if kind == "pole":
-            if not 1 <= len(args) <= 3:
-                raise ConfigError("pole takes 1-3 parameters", field="ic")
-            p = args[0]
-            amp = args[1] if len(args) > 1 else 1.0
-            off = args[2] if len(args) > 2 else 0.0
-            return pole_state(p, n, amplitude=amp, offset=off)
-        if kind == "poles":
-            if not args:
-                raise ConfigError("poles needs at least one pole", field="ic")
-            return poles_sum_state(args, n)
-        if kind == "blaschke":
-            if not args:
-                raise ConfigError("blaschke needs at least one parameter", field="ic")
-            return blaschke_state(args, n)
-        if kind == "circle":
-            if len(args) != 1:
-                raise ConfigError("circle takes exactly one amplitude", field="ic")
-            return circle_state(args[0], n)
-        if kind == "perturbed_circle":
-            if len(args) != 1:
-                raise ConfigError("perturbed_circle takes exactly one epsilon", field="ic")
-            return perturbed_circle_state(args[0], n)
-        if kind == "gaussian":
-            if len(args) != 1:
-                raise ConfigError("gaussian takes exactly one width", field="ic")
-            return gaussian_state(args[0], n)
-        if kind == "wstate":
-            if len(args) != 3:
-                raise ConfigError("wstate takes b,c,p", field="ic")
-            return w_to_hardy(WState(b=args[0], c=args[1], p=args[2]), n)
-    except (ValueError, NotInManifoldError) as exc:
-        raise ConfigError(str(exc), field="ic") from exc
-    raise ConfigError(f"unknown initial-condition kind {kind!r}", field="ic")
+    count = (row.least if row.least == row.most
+             else f"{row.least} or more" if row.most == math.inf else f"{row.least} to {row.most}")
+    require({"ic": (row.least <= len(args) <= row.most,
+                    f"{kind} takes {count} parameters, got {len(args)}")})
+    require({"ic": (not (row.real and any(isinstance(a, complex) for a in args)),
+                    f"{kind} takes a real parameter")})
+    # An overflow shows as a non-finite coefficient, norm or momentum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            u = row.build(n, *args)
+        except (ValueError, SzegoError) as exc:
+            raise ConfigError(str(exc), field="ic") from exc
+        finite = math.isfinite(l2_norm_sq(u)) and math.isfinite(momentum(u))
+    require({"ic": (finite, "initial data must have a finite squared L2 norm and momentum")})
+    return u

@@ -284,10 +284,11 @@ def _run_pde(cfg: ExperimentConfig):
     row = _PRESETS[cfg.preset]
     u0 = parse_initial_condition(cfg.ic, cfg.grid_size)
     m0 = hardy_momentum(u0)
-    # The closed-form constants read the momentum of u(0), which validate cannot see.
-    require({"ic": (not row.closed_form or closed_form_finite(cfg.alpha, m0),
-                    f"{cfg.preset} needs initial data with positive momentum and finite "
-                    "closed-form constants")})
+    # validate cannot see u(0).  Its momentum is the trace of K_u^2: on constant data
+    # the spectrum invariance gates divide by zero and the closed-form constants fail.
+    rule = "positive momentum" + (" and finite closed-form constants" if row.closed_form else "")
+    require({"ic": (m0 > 0 and (not row.closed_form or closed_form_finite(cfg.alpha, m0)),
+                    f"{cfg.preset} needs initial data with {rule}")})
     solver_cfg = SolverConfig(
         alpha=cfg.alpha,
         dt=cfg.dt,
@@ -434,9 +435,9 @@ def _run_stable(cfg: ExperimentConfig):
 
 # One row per preset: its runner, the fields it sets over the ExperimentConfig
 # defaults, whether it reads the closed-form (alpha, M) constants (so needs
-# alpha > 0 and, for PDE data, M(u0) > 0), whether its gates need a snapshot in
-# (0, t_end] and, for _run_pde, its gate function.  A runner returns
-# (gates, values, artifacts); each gate holds the arguments of _check.
+# alpha > 0 and, for PDE data, finite constants at M(u0)), whether its gates
+# need a snapshot in (0, t_end] and, for _run_pde, its gate function.  A runner
+# returns (gates, values, artifacts); each gate holds the arguments of _check.
 Preset = namedtuple("Preset", "run defaults closed_form needs_snapshot gates",
                     defaults=(False, False, None))
 _PRESETS = {

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from damped_szego.hankel import _gram, eigenvalues, explosion_criterion, gram_k, k_spectrum
-from damped_szego.hardy import GridField, HardyState, grid_points
+from damped_szego.hardy import HardyState, grid_points
 from damped_szego.solver import _extent, _grid, _rhs_coeffs
 from damped_szego.wmanifold import (
     ReducedState,
@@ -74,11 +74,10 @@ def dft_to_grid_oracle(u: HardyState) -> np.ndarray:
     return out
 
 
-def dft_from_grid_oracle(f: GridField, chunk: int = 256) -> np.ndarray:
-    """O(N^2) projection oracle: c_k = (1/N) sum_n v_n e^{-i k x_n}, k < N/2."""
-    n = f.grid_size
+def dft_from_grid_oracle(v: np.ndarray, chunk: int = 256) -> np.ndarray:
+    """O(N^2) projection oracle on a sample array: c_k = (1/N) sum_n v_n e^{-i k x_n}, k < N/2."""
+    n = v.shape[0]
     x = grid_points(n)
-    v = f.values
     out = np.empty(n // 2, dtype=complex)
     for start in range(0, n // 2, chunk):
         ks = np.arange(start, min(start + chunk, n // 2))

@@ -15,7 +15,16 @@ import damped_szego
 from damped_szego.cli import _simulate_overrides, build_parser
 from damped_szego.errors import ConfigError
 from damped_szego.hankel import KSpectrum
-from damped_szego.initial_conditions import parse_initial_condition
+from damped_szego.hardy import HardyState
+from damped_szego.initial_conditions import (
+    _KINDS,
+    blaschke_state,
+    circle_state,
+    gaussian_state,
+    parse_initial_condition,
+    pole_state,
+    poles_sum_state,
+)
 from damped_szego.presets import (
     CONFIG_KEYS,
     PRESET_NAMES,
@@ -26,7 +35,7 @@ from damped_szego.presets import (
     verify_identities,
 )
 from damped_szego.reporting import csv_table, spectrum_csv
-from damped_szego.wmanifold import asymptotic_constants
+from damped_szego.wmanifold import WState, asymptotic_constants, w_to_hardy
 from helpers import fmt
 
 
@@ -72,6 +81,60 @@ def test_parse_rejects_unknown_kind():
         parse_initial_condition("fourier:1,2", 64)
     with pytest.raises(ConfigError):
         parse_initial_condition("pole:not_a_number", 64)
+
+
+def _perturbed_circle_coeffs(eps, n):
+    coeffs = np.zeros(n // 2, dtype=complex)
+    coeffs[:2] = eps, 1.0
+    return HardyState(coeffs, n)
+
+
+# Each _KINDS row at its fewest and at its most parameters (four for an
+# unbounded row), with the builder call its state must equal bit for bit.
+KIND_CASES = [
+    ("pole:0.3+0.4j", lambda n: pole_state(0.3 + 0.4j, n)),
+    ("pole:0.3+0.4j,1.1-0.2j,0.2", lambda n: pole_state(0.3 + 0.4j, n, 1.1 - 0.2j, 0.2)),
+    ("poles:0.7", lambda n: poles_sum_state([0.7], n)),
+    ("poles:0.7,-0.5j,0.3+0.3j,0.1",
+     lambda n: poles_sum_state([0.7, -0.5j, 0.3 + 0.3j, 0.1], n)),
+    ("blaschke:0.3", lambda n: blaschke_state([0.3], n)),
+    ("blaschke:0.3,0.2j,-0.5,0.1+0.1j",
+     lambda n: blaschke_state([0.3, 0.2j, -0.5, 0.1 + 0.1j], n)),
+    ("circle:1-2j", lambda n: circle_state(1 - 2j, n)),
+    ("perturbed_circle:0.05", lambda n: _perturbed_circle_coeffs(0.05, n)),
+    ("gaussian:10", lambda n: gaussian_state(10.0, n)),
+    ("wstate:0.1-0.2j,0.5+1j,-0.3+0.6j",
+     lambda n: w_to_hardy(WState(b=0.1 - 0.2j, c=0.5 + 1j, p=-0.3 + 0.6j), n)),
+]
+
+
+def test_kind_cases_cover_every_row_at_its_fewest_and_most():
+    counts = {}
+    for spec, _ in KIND_CASES:
+        kind, _, args = spec.partition(":")
+        counts.setdefault(kind, set()).add(len(args.split(",")))
+    assert counts == {kind: {row.least, min(row.most, 4)} for kind, row in _KINDS.items()}
+    assert {kind for kind, row in _KINDS.items() if row.real} == {"gaussian", "perturbed_circle"}
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("spec, build", KIND_CASES, ids=[spec for spec, _ in KIND_CASES])
+def test_every_kind_equals_its_builder_bit_for_bit(spec, build, n):
+    assert parse_initial_condition(spec, n).coeffs.tobytes() == build(n).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_kind_rejects_a_wrong_count_and_a_complex_real_parameter(kind):
+    row = _KINDS[kind]
+    bad = [["0.1"] * (row.least - 1)]
+    if row.most < math.inf:
+        bad.append(["0.1"] * (row.most + 1))
+    if row.real:
+        bad.append(["0.1+0.1j"] * row.least)
+    for args in bad:
+        with pytest.raises(ConfigError, match=f"^{kind} takes ") as err:
+            parse_initial_condition(f"{kind}:{','.join(args)}", 64)
+        assert err.value.field == "ic"
 
 
 # --- config files ------------------------------------------------------------
@@ -652,12 +715,30 @@ def test_baby_reads_m_from_initial_data():
     (["spectrum", "--ic", "perturbed_circle:0.05+1j"], "ic"),
     # beta_inf e^{-(a+alpha) t_start} must be a normal float: t_start <= 272.4 here
     (["simulate", "--preset", "stable_manifold", "--t-start", "300"], "t_start"),
+    # an empty kind:args field is not skipped: the later ones would shift
+    (["spectrum", "--ic", "pole:0.5,,0.3"], "ic"),
+    (["spectrum", "--ic", "wstate:0.1,,1,0.5"], "ic"),
+    # the built state's squared L2 norm and momentum must be finite floats
+    (["spectrum", "--ic", "pole:0.5,1e200", "--n", "64", "--size", "8"], "ic"),
+    (["spectrum", "--ic", "wstate:1e308,1,0.5", "--n", "64", "--size", "8"], "ic"),
+    # and so must its coefficients (c p^k overflows here)
+    (["spectrum", "--ic", "pole:0.9+0.4j,1.5e308+1.5e308j", "--n", "64", "--size", "8"], "ic"),
+    (["simulate", "--preset", "custom", "--ic", "pole:0.5,1e200", "--n", "64",
+      "--t-end", "0.1", "--dt", "1e-3"], "ic"),
+    # every PDE run needs u(0) of positive momentum, the trace of its K_u^2
+    (["simulate", "--preset", "gaussian", "--ic", "circle:0", "--n", "64",
+      "--t-end", "0.1", "--dt", "1e-3"], "ic"),
+    (["simulate", "--preset", "two_poles", "--ic", "circle:0", "--n", "64",
+      "--t-end", "3", "--dt", "1e-3"], "ic"),
+    (["simulate", "--preset", "custom", "--ic", "circle:0", "--n", "64",
+      "--t-end", "0.1", "--dt", "1e-3"], "ic"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2, proc.stderr
     assert f"field {field!r}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -14,7 +14,7 @@ from damped_szego.errors import (
     FixedPointDivergenceError,
     NotInManifoldError,
 )
-from damped_szego.hardy import GridField, from_grid, grid_points
+from damped_szego.hardy import from_grid, grid_points
 from damped_szego.presets import build_config, run_experiment, spectrum_report
 from damped_szego.solver import SolverConfig, evolve
 from damped_szego.wmanifold import (
@@ -82,7 +82,7 @@ def test_w_to_hardy_matches_rational_sampling():
     n = 256
     x = grid_points(n)
     z = np.exp(1j * x)
-    sampled = from_grid(GridField(w.b + w.c * z / (1.0 - w.p * z)))
+    sampled = from_grid(w.b + w.c * z / (1.0 - w.p * z))
     direct = w_to_hardy(w, n)
     assert np.max(np.abs(sampled.coeffs - direct.coeffs)) < 1e-12
 
