@@ -64,9 +64,6 @@ def build_parser():
     spect.add_argument("--ic", required=True, help="initial condition spec, e.g. blaschke:0.3")
     spect.add_argument("--n", type=int, default=1024, help="grid size (even)")
     spect.add_argument("--size", type=int, default=128, help="Gram truncation size")
-    spect.add_argument("--cluster-tol", type=float, dest="cluster_tol", default=1e-8)
-    spect.add_argument("--rank-cutoff", type=float, dest="rank_cutoff")
-    spect.add_argument("--tol", type=float, help="criterion equality tolerance")
     spect.add_argument("--out", help="write spectrum.csv, spectrum.json and verdict.json here")
 
     wode = sub.add_parser("wode", help="integrate the rank-one (b, c, p) system")
@@ -83,7 +80,6 @@ def build_parser():
     ver = sub.add_parser("verify", help="check every closed-form identity for (alpha, M)")
     ver.add_argument("--alpha", type=float, default=1.0)
     ver.add_argument("--m", type=float, default=1.0)
-    ver.add_argument("--s", type=float, default=1.0)
 
     return parser
 
@@ -106,18 +102,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_spectrum(args):
-    require({
-        "size": (args.size >= 1, "size must be >= 1"),
-        "cluster_tol": (0 <= args.cluster_tol < math.inf, "cluster_tol must be finite and >= 0"),
-        "rank_cutoff": (args.rank_cutoff is None or 0 < args.rank_cutoff < math.inf,
-                        "rank_cutoff must be positive and finite"),
-        "tol": (args.tol is None or 0 <= args.tol < math.inf, "tol must be finite and >= 0"),
-    })
+    require({"size": (args.size >= 1, "size must be >= 1")})
     u = parse_initial_condition(args.ic, args.n)
-    spec, _, summary = spectrum_report(
-        u, size=args.size, cluster_tol=args.cluster_tol,
-        rank_cutoff=args.rank_cutoff, tol=args.tol,
-    )
+    spec, _, summary = spectrum_report(u, size=args.size)
     print(json.dumps(summary, indent=2, sort_keys=True))
     if args.out:
         write_files(args.out, spectrum_files(spec, summary))
@@ -170,10 +157,8 @@ def _cmd_verify(args):
     require({
         "alpha": (closed_form_finite(args.alpha, 1.0), ALPHA_RULE),
         "m": (closed_form_finite(args.alpha, args.m), M_RULE),
-        "s": (0.5 <= args.s < math.inf and closed_form_finite(args.alpha, args.m, args.s),
-              "s must be finite and >= 1/2, with a finite H^s growth coefficient"),
     })
-    report = verify_identities(args.alpha, args.m, args.s)
+    report = verify_identities(args.alpha, args.m)
     printable = dict(report)
     printable["lambda_plus"] = [report["lambda_plus"].real, report["lambda_plus"].imag]
     printable["lambda_minus"] = [report["lambda_minus"].real, report["lambda_minus"].imag]

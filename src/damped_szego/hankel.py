@@ -55,9 +55,10 @@ __all__ = [
 ]
 
 DEFAULT_SIZE = 128
-DEFAULT_CLUSTER_TOL = 1e-8
-DEFAULT_RANK_CUTOFF_REL = 1e-10
-_ZERO_RANK_CUTOFF = 1e-14
+CLUSTER_TOL = 1e-8  # k_spectrum merges eigenvalues closer than this times the top one
+RANK_CUTOFF_REL = 1e-10  # and drops those at or below this times the top one as kernel
+_ZERO_RANK_CUTOFF = 1e-14  # the cutoff when no eigenvalue is positive
+CRITERION_TOL_REL = 1e-8  # explosion_criterion's equality tolerance over max(1, ||u||^2)
 _HERMITIAN_TOL = 1e-12
 
 
@@ -67,7 +68,6 @@ class KSpectrum:
 
     distinct_eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    cluster_tol: float
     rank_cutoff: float
 
     def __post_init__(self):
@@ -171,27 +171,24 @@ def k_eigenvalues(u: HardyState, size: int) -> np.ndarray:
     return np.sort(out)[::-1]
 
 
-def k_spectrum(u: HardyState, size: int = DEFAULT_SIZE, cluster_tol: float = DEFAULT_CLUSTER_TOL,
-               rank_cutoff: float = None) -> KSpectrum:
+def k_spectrum(u: HardyState, size: int = DEFAULT_SIZE) -> KSpectrum:
     """Clustered positive spectrum of K_u^2.
 
-    Eigenvalues below ``rank_cutoff`` (default 1e-10 of the top eigenvalue)
-    are treated as kernel.  Consecutive eigenvalues closer than
-    ``cluster_tol`` times the top eigenvalue merge into a single distinct
-    eigenvalue whose value is the cluster mean and whose multiplicity is the
-    cluster size; exact arithmetic would make these clusters exactly
-    degenerate.
+    Eigenvalues at or below the rank cutoff, 1e-10 of the top eigenvalue, are
+    treated as kernel.  Consecutive eigenvalues closer than 1e-8 times the top
+    eigenvalue merge into a single distinct eigenvalue whose value is the
+    cluster mean and whose multiplicity is the cluster size; exact arithmetic
+    would make these clusters exactly degenerate.
     """
     size = min(size, u.n_modes)
     evals = k_eigenvalues(u, size)
     top = float(evals[0]) if evals.shape[0] else 0.0
-    if rank_cutoff is None:
-        rank_cutoff = DEFAULT_RANK_CUTOFF_REL * top if top > 0 else _ZERO_RANK_CUTOFF
+    rank_cutoff = RANK_CUTOFF_REL * top if top > 0 else _ZERO_RANK_CUTOFF
     evals = evals[evals > rank_cutoff]
     if evals.shape[0] == 0:
-        return KSpectrum(np.empty(0), np.empty(0, dtype=int), cluster_tol, rank_cutoff)
+        return KSpectrum(np.empty(0), np.empty(0, dtype=int), rank_cutoff)
 
-    gap = cluster_tol * top
+    gap = CLUSTER_TOL * top
     clusters = [[float(evals[0])]]
     for v in evals[1:]:
         if clusters[-1][-1] - float(v) <= gap:
@@ -200,7 +197,7 @@ def k_spectrum(u: HardyState, size: int = DEFAULT_SIZE, cluster_tol: float = DEF
             clusters.append([float(v)])
     vals = np.array([np.mean(c) for c in clusters])
     mult = np.array([len(c) for c in clusters], dtype=int)
-    return KSpectrum(vals, mult, cluster_tol, rank_cutoff)
+    return KSpectrum(vals, mult, rank_cutoff)
 
 
 def f_functional(spec: KSpectrum) -> float:
@@ -210,19 +207,18 @@ def f_functional(spec: KSpectrum) -> float:
     return float(np.sum(signs * vals))
 
 
-def explosion_criterion(u: HardyState, spec: KSpectrum, tol: float = None) -> CriterionVerdict:
+def explosion_criterion(u: HardyState, spec: KSpectrum) -> CriterionVerdict:
     """Decide whether u certifies unbounded Sobolev growth.
 
     ``spec`` is the K_u^2 spectrum of u, as :func:`k_spectrum` returns it.
     ExplodesStrict / ExplodesEqualCase certify that every H^s norm with
     s > 1/2 tends to infinity along the damped flow; Inconclusive makes no
-    claim.
+    claim.  Equality is judged to 1e-8 max(1, ||u||^2).
     """
     l2 = l2_norm_sq(u)
     f_val = f_functional(spec)
     u0_abs = abs(inner_with_one(u))
-    if tol is None:
-        tol = 1e-8 * max(1.0, l2)
+    tol = CRITERION_TOL_REL * max(1.0, l2)
     if l2 < f_val - tol:
         verdict = Verdict.EXPLODES_STRICT
     elif abs(l2 - f_val) <= tol and u0_abs > tol:

@@ -24,6 +24,7 @@ from .reporting import (
 )
 from .solver import SolverConfig, check_lyapunov, evolve
 from .wmanifold import (
+    BACKWARD_STEP,
     MIN_TAIL_SAMPLES,
     ReducedState,
     asymptotic_constants,
@@ -34,6 +35,7 @@ from .wmanifold import (
     linearization_matrix,
     linearized_q0,
     record_times,
+    stable_manifold_short_window,
     stable_manifold_t_max,
     stable_manifold_t_start,
     stable_manifold_trajectory,
@@ -55,12 +57,12 @@ __all__ = [
 ]
 
 
-def closed_form_finite(alpha, m, s=1.0) -> bool:
-    """Whether every closed-form constant of (alpha, M), the H^s growth
+def closed_form_finite(alpha, m) -> bool:
+    """Whether every closed-form constant of (alpha, M), the H^1 growth
     coefficient included, is a finite number; a huge alpha or M overflows."""
     try:
         consts = asymptotic_constants(alpha, m)
-        values = [*vars(consts).values(), consts.growth_coeff(s)]
+        values = [*vars(consts).values(), consts.growth_coeff(1.0)]
     except (ArithmeticError, ValueError):
         return False
     return all(map(cmath.isfinite, values))
@@ -81,7 +83,6 @@ class ExperimentConfig:
     grid_size: int = 4096
     record_stride: int = 10
     krasny_threshold: float = 1e-12
-    sobolev_exponents: tuple = (1.0,)
     spectrum_size: int = 128
     snapshot_times: tuple = ()
     m: float = 1.0
@@ -104,13 +105,17 @@ class ExperimentConfig:
         # check_lyapunov needs three records: u(0), the one at record_stride and the last.
         pde_too_short = (row.run is _run_pde
                          and math.isfinite(steps) and round(steps) <= self.record_stride)
-        # The stable manifold's run starts at t_start, given or by default, at most t_max.
-        t_start, t_max = self.t_start, math.inf
+        # The stable manifold steps back from t_start (given or by default, at most t_max)
+        # to t_end_back and fits two windows that end at t_start.
+        t_start, t_max, back_steps, short = self.t_start, math.inf, math.nan, None
         if (row.run is _run_stable and 0 < self.beta_inf < math.inf
                 and closed_form_finite(self.alpha, self.m)):
             t_max = stable_manifold_t_max(self.beta_inf, self.alpha, self.m)
             if t_start is None:
                 t_start = stable_manifold_t_start(self.beta_inf, self.alpha, self.m)
+            back_steps = (t_start - self.t_end_back) / BACKWARD_STEP
+            if 0 < t_start <= t_max and 0 < back_steps <= sys.maxsize:
+                short = stable_manifold_short_window(t_start, self.t_end_back)
         require({
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
             "alpha": (closed_form_finite(self.alpha, 1.0) if row.closed_form
@@ -133,21 +138,23 @@ class ExperimentConfig:
             "krasny_threshold": (0 <= self.krasny_threshold < 1,
                                  "krasny_threshold must lie in [0, 1)"),
             "spectrum_size": (self.spectrum_size >= 1, "spectrum_size must be >= 1"),
-            "sobolev_exponents": (all(0.5 <= s < math.inf for s in self.sobolev_exponents),
-                                  "Sobolev exponents must be finite and >= 1/2"),
             "beta_inf": (0 < self.beta_inf < math.inf, "beta_inf must be positive and finite"),
-            # Both stable-manifold fit windows end at t_start.
             "t_start": ((self.t_start is None or 0 < self.t_start < math.inf)
-                        and (t_start is None or t_start <= t_max),
+                        and (t_start is None or t_start <= t_max) and short is None,
                         "t_start must be positive, finite and at most "
-                        "log(beta_inf / sys.float_info.min) / (a + alpha)"),
+                        "log(beta_inf / sys.float_info.min) / (a + alpha)" if short is None
+                        else short),
             "t_end_back": (math.isfinite(self.t_end_back)
-                           and (t_start is None or self.t_end_back < t_start),
-                           "t_end_back must be finite and smaller than t_start (by default "
-                           "max(log(beta_inf / (1e-6 m)) / (a + alpha), 1))"),
-            # The K_u^2 invariance gate compares u(0) with these snapshots only.
-            "snapshot_times": (not row.needs_snapshot or self.later_snapshots(),
-                               f"{self.preset} needs a snapshot time in (0, t_end]"),
+                           and (t_start is None or self.t_end_back < t_start)
+                           and not back_steps > sys.maxsize,
+                           "t_end_back must be finite, below t_start (by default max(log("
+                           "beta_inf / (1e-6 m)) / (a + alpha), 1)) by at most sys.maxsize steps"),
+            # The K_u^2 invariance gate compares u(0) with the later snapshots only.
+            "snapshot_times": (all(0 <= t < math.inf for t in self.snapshot_times)
+                               and (not row.needs_snapshot or self.later_snapshots()),
+                               "snapshot times must be finite and >= 0"
+                               + (f"; {self.preset} needs one in (0, t_end]"
+                                  if row.needs_snapshot else "")),
         })
         return self
 
@@ -176,7 +183,6 @@ CONFIG_KEYS = {
     "m": ConfigKey(float, "--m", "momentum for ODE presets"),
     "beta_inf": ConfigKey(float, "--beta-inf"),
     "ode_dt": ConfigKey(float, "--ode-dt"),
-    "sobolev_exponents": ConfigKey("floats"),
     "snapshot_times": ConfigKey("floats"),
     "gamma0": ConfigKey(float),
     "t_start": ConfigKey(float, "--t-start"),
@@ -188,8 +194,8 @@ def _coerce(key, raw, line=None):
     kind = CONFIG_KEYS[key].kind
     raw = raw.strip()
     try:
-        if kind == "floats":
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+        if kind == "floats":  # an empty value is (); an empty field does not parse
+            return tuple(map(float, raw.split(","))) if raw else ()
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse value {raw!r}: {exc}", line=line, field=key) from exc
@@ -256,12 +262,11 @@ def _check(name, value, target, tol, mode="abs"):
 VERDICT_KEYS = ("l2_sq", "momentum", "f_value", "verdict", "u0_coeff_abs")
 
 
-def spectrum_report(u, size=hankel.DEFAULT_SIZE, cluster_tol=hankel.DEFAULT_CLUSTER_TOL,
-                    rank_cutoff=None, tol=None):
+def spectrum_report(u, size=hankel.DEFAULT_SIZE):
     """Spectrum plus the JSON-ready summary used by reports and the CLI."""
     size = min(size, u.n_modes)
-    spec = hankel.k_spectrum(u, size=size, cluster_tol=cluster_tol, rank_cutoff=rank_cutoff)
-    verdict = hankel.explosion_criterion(u, spec, tol=tol)
+    spec = hankel.k_spectrum(u, size=size)
+    verdict = hankel.explosion_criterion(u, spec)
     summary = {
         "l2_sq": verdict.l2_sq,
         "momentum": hardy_momentum(u),
@@ -289,15 +294,9 @@ def _run_pde(cfg: ExperimentConfig):
     rule = "positive momentum" + (" and finite closed-form constants" if row.closed_form else "")
     require({"ic": (m0 > 0 and (not row.closed_form or closed_form_finite(cfg.alpha, m0)),
                     f"{cfg.preset} needs initial data with {rule}")})
-    solver_cfg = SolverConfig(
-        alpha=cfg.alpha,
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        grid_size=cfg.grid_size,
-        krasny_threshold=cfg.krasny_threshold,
-        record_stride=cfg.record_stride,
-        sobolev_exponents=tuple(sorted({1.0, *cfg.sobolev_exponents})),
-    )
+    solver_cfg = SolverConfig(alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end,
+                              grid_size=cfg.grid_size, krasny_threshold=cfg.krasny_threshold,
+                              record_stride=cfg.record_stride)
     result = evolve(u0, solver_cfg, snapshot_times=cfg.later_snapshots())
     series = result.diagnostics
 
@@ -307,9 +306,8 @@ def _run_pde(cfg: ExperimentConfig):
     drift = float(np.max(np.abs(series.momentum - mom0)) / abs(mom0)) if mom0 else 0.0
 
     # Every gate and fit reads the squared H^1 norm.
-    hs = series.hs_sq[1.0]
     half = series.t >= 0.5 * series.t[-1]
-    slope, intercept = linear_fit(series.t[half], hs[half])
+    slope, intercept = linear_fit(series.t[half], series.h1_sq[half])
 
     values = {
         "momentum_drift": drift,
@@ -317,7 +315,7 @@ def _run_pde(cfg: ExperimentConfig):
         "verdict": verdict.verdict.value,
         "resolution_loss": result.resolution_loss,
         "hs_slope": slope,
-        "hs_fit_r2": r_squared(series.t[half], hs[half], slope, intercept),
+        "hs_fit_r2": r_squared(series.t[half], series.h1_sq[half], slope, intercept),
     }
     window = (float(series.t[half][0]), float(series.t[-1]))
     gates, fits = row.gates(PdeRun(cfg, u0, m0, result, spec, values, window))
@@ -506,8 +504,9 @@ def _versions():
     }
 
 
-def verify_identities(alpha: float, m: float, s: float = 1.0) -> dict:
-    """Residuals of every closed-form identity for given (alpha, M)."""
+def verify_identities(alpha: float, m: float) -> dict:
+    """Residuals of every closed-form identity for given (alpha, M), with the H^1
+    growth coefficient."""
     consts = asymptotic_constants(alpha, m)
     a = consts.a
     lam_p, lam_m = consts.lambda_plus, consts.lambda_minus
@@ -540,8 +539,8 @@ def verify_identities(alpha: float, m: float, s: float = 1.0) -> dict:
         "lambda_minus": consts.lambda_minus,
         "decay_rate": consts.decay_rate,
         "dist_rate": consts.dist_rate,
-        "growth_coeff": consts.growth_coeff(s),
-        "s": s,
+        "growth_coeff": consts.growth_coeff(1.0),
+        "s": 1.0,
         "a_greater_than_alpha": a > alpha,
         "residuals": residuals,
         "max_residual": max(residuals.values()),

@@ -36,10 +36,8 @@ def csv_table(columns) -> str:
 
 
 def diagnostics_csv(series) -> str:
-    cols = [("t", series.t), ("l2_sq", series.l2_sq), ("momentum", series.momentum),
-            ("u0_abs", series.u0_abs)]
-    cols += [(f"hs_sq_{s:.2f}", series.hs_sq[s]) for s in sorted(series.hs_sq)]
-    return csv_table(cols)
+    return csv_table([("t", series.t), ("l2_sq", series.l2_sq), ("momentum", series.momentum),
+                      ("u0_abs", series.u0_abs), ("hs_sq_1.00", series.h1_sq)])
 
 
 def spectrum_csv(spec) -> str:

@@ -8,7 +8,7 @@ The damping acts on the zero mode only.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class SolverConfig:
     grid_size: int
     krasny_threshold: float = 1e-12
     record_stride: int = 1
-    sobolev_exponents: tuple = (1.0,)
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -53,10 +52,6 @@ class SolverConfig:
             raise ValueError("krasny_threshold must lie in [0, 1)")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        object.__setattr__(self, "sobolev_exponents", tuple(float(s) for s in self.sobolev_exponents))
-        for s in self.sobolev_exponents:
-            if s < 0.5:
-                raise ValueError(f"Sobolev exponent must be >= 1/2, got {s}")
 
     @property
     def n_steps(self) -> int:
@@ -71,12 +66,12 @@ class DiagnosticsSeries:
     l2_sq: np.ndarray
     momentum: np.ndarray
     u0_abs: np.ndarray
-    hs_sq: dict = field(default_factory=dict)  # sobolev exponent -> ndarray
+    h1_sq: np.ndarray  # squared H^1 norm, sum_k (1 + k^2) |u_hat(k)|^2
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("record times must be strictly increasing")
-        for arr in (self.t, self.l2_sq, self.momentum, self.u0_abs, *self.hs_sq.values()):
+        for arr in (self.t, self.l2_sq, self.momentum, self.u0_abs, self.h1_sq):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("diagnostics must be finite")
 
@@ -196,7 +191,7 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
     dt = cfg.dt
     c = u0.coeffs.astype(complex).copy()
     kk = np.arange(c.shape[0], dtype=float)
-    hs_weights = {s: (1.0 + kk * kk) ** s for s in cfg.sobolev_exponents}
+    h1_weight = 1.0 + kk * kk
 
     snap_steps = {}
     for ts in snapshot_times:
@@ -204,8 +199,7 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
             raise ValueError(f"snapshot time {ts} outside [0, t_end]")
         snap_steps.setdefault(int(round(ts / dt)), []).append(ts)
 
-    rows_t, rows_l2, rows_mom, rows_u0 = [], [], [], []
-    rows_hs = {s: [] for s in cfg.sobolev_exponents}
+    rows_t, rows_l2, rows_mom, rows_u0, rows_h1 = [], [], [], [], []
     snapshots = []
     resolution_loss = False
     resolution_time = None
@@ -217,8 +211,7 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
         rows_l2.append(float(sq.sum()))
         rows_mom.append(float((kk * sq).sum()))
         rows_u0.append(float(a[0]))
-        for s, w in hs_weights.items():
-            rows_hs[s].append(float((w * sq).sum()))
+        rows_h1.append(float((h1_weight * sq).sum()))
         nonlocal resolution_loss, resolution_time
         amax = a.max() if a.shape[0] else 0.0
         if not resolution_loss and amax > 0 and a[-1] > _RESOLUTION_RATIO * amax:
@@ -250,7 +243,7 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
         l2_sq=np.asarray(rows_l2),
         momentum=np.asarray(rows_mom),
         u0_abs=np.asarray(rows_u0),
-        hs_sq={s: np.asarray(v) for s, v in rows_hs.items()},
+        h1_sq=np.asarray(rows_h1),
     )
     return SolverResult(
         u_final=HardyState(c, n),

@@ -36,6 +36,7 @@ __all__ = [
     "linearization_matrix",
     "stable_manifold_t_start",
     "stable_manifold_t_max",
+    "stable_manifold_short_window",
     "stable_manifold_trajectory",
     "beta_decay_rate",
     "delta_beta_ratio",
@@ -604,6 +605,39 @@ def _manifold_terms(beta_inf: float, alpha: float, m: float, t: float) -> np.nda
                                     f"increase t_start from {t:.3g}")
 
 
+def _backward_grid(t_start, t_end_back):
+    """Step count and step of the backward run from t_start to t_end_back."""
+    n_steps = max(1, int(round((t_start - t_end_back) / BACKWARD_STEP)))
+    return n_steps, (t_start - t_end_back) / n_steps
+
+
+_DECAY_WINDOW = (0.5, 8)  # beta_decay_rate fits [t_start/2, t_start], on >= 8 records
+_RATIO_WINDOW = (0.8, 2)  # delta_beta_ratio averages over [0.8 t_start, t_start], >= 2
+
+
+def stable_manifold_short_window(t_start: float, t_end_back: float):
+    """Why the backward run from t_start to t_end_back records too few points for a fit,
+    or None.  The records run down from t_start, so a fit window holds enough of them
+    iff the ``fewest``-th lies in it."""
+    n_steps, step = _backward_grid(t_start, t_end_back)
+    for frac, fewest in (_DECAY_WINDOW, _RATIO_WINDOW):
+        t = t_start + np.arange(min(n_steps, fewest - 1) + 1) * -step
+        if t.shape[0] < fewest or t[-1] < frac * t_start:
+            return (f"t_start = {t_start:g}, t_end_back = {t_end_back:g}: the fit window "
+                    f"[{frac * t_start:g}, {t_start:g}] holds fewer than {fewest} records")
+    return None
+
+
+def _fit_window(result, window, what):
+    """The records of ``result`` in ``window`` with beta > 0, and its bounds."""
+    frac, fewest = window
+    lo, hi = frac * result.t_start, result.t_start
+    mask = (result.t >= lo) & (result.t <= hi) & (result.beta > 0)
+    if int(mask.sum()) < fewest:
+        raise FitError(f"window too short for {what}")
+    return mask, (lo, hi)
+
+
 def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start: float = None,
                                t_end_back: float = 0.0) -> StableManifoldResult:
     """Construct the trajectory that decays to the circle orbit like e^{-(a+alpha)t}.
@@ -634,8 +668,7 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     seed = terms.sum(axis=0)
 
     # backward to t_end_back, then forward again as the round-trip check
-    n_steps = max(1, int(round((t_start - t_end_back) / BACKWARD_STEP)))
-    step = (t_start - t_end_back) / n_steps
+    n_steps, step = _backward_grid(t_start, t_end_back)
     steps = _record_steps(n_steps, 1)
     t_back = t_start + np.array(steps) * -step
     # stepped in the chart x = gamma - M = -delta of _rk4_reduced; negation is exact
@@ -663,21 +696,15 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
 
 def beta_decay_rate(result: StableManifoldResult) -> tuple:
     """Exponential decay rate of beta fitted over [t_start/2, t_start], and that window."""
-    lo, hi = 0.5 * result.t_start, result.t_start
-    mask = (result.t >= lo) & (result.t <= hi) & (result.beta > 0)
-    if int(mask.sum()) < 8:
-        raise FitError("window too short for a decay-rate fit")
+    mask, window = _fit_window(result, _DECAY_WINDOW, "a decay-rate fit")
     slope, _ = linear_fit(result.t[mask], np.log(result.beta[mask]))
-    return -slope, (lo, hi)
+    return -slope, window
 
 
 def delta_beta_ratio(result: StableManifoldResult) -> tuple:
     """Mean delta/beta over the last fifth before t_start, and that window."""
-    lo, hi = 0.8 * result.t_start, result.t_start
-    mask = (result.t >= lo) & (result.t <= hi) & (result.beta > 0)
-    if int(mask.sum()) < 2:
-        raise FitError("window too short for the ratio estimate")
-    return float(np.mean(result.delta[mask] / result.beta[mask])), (lo, hi)
+    mask, window = _fit_window(result, _RATIO_WINDOW, "the ratio estimate")
+    return float(np.mean(result.delta[mask] / result.beta[mask])), window
 
 
 # ---------------------------------------------------------------------------

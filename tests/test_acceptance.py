@@ -44,7 +44,7 @@ def single_pole_run():
     """The reference experiment: p=0.5, alpha=1, N=4096, dt=2e-4, t in [0, 20]."""
     u0 = pole_state(0.5, 4096)
     cfg = SolverConfig(alpha=1.0, dt=2e-4, t_end=20.0, grid_size=4096,
-                       record_stride=10, sobolev_exponents=(1.0,))
+                       record_stride=10)
     return u0, evolve(u0, cfg)
 
 
@@ -62,7 +62,7 @@ def test_criterion_01_h1_growth_slope(single_pole_run):
     m = state_momentum(u0)
     target = asymptotic_constants(1.0, m).growth_coeff(1.0)
     mask = series.t >= 10.0
-    slope, _ = linear_fit(series.t[mask], series.hs_sq[1.0][mask])
+    slope, _ = linear_fit(series.t[mask], series.h1_sq[mask])
     rel = abs(slope - target) / target
     assert rel < 0.05
     log_acceptance(f"PASS 01 H1 growth slope: fitted {slope:.4f} vs {target:.4f} "
@@ -276,13 +276,13 @@ def test_gaussian_run_is_resolved(gaussian_preset_run):
                                         np.rint(other.t / 0.02).astype(int),
                                         return_indices=True)
     assert keys.shape[0] == series.t.shape[0]
-    h1, h1_other = series.hs_sq[1.0][ours], other.hs_sq[1.0][theirs]
+    h1, h1_other = series.h1_sq[ours], other.h1_sq[theirs]
     rel = float(np.max(np.abs(h1_other - h1) / h1))
     assert rel <= 1e-9
 
     half = other.t >= 0.5 * other.t[-1]
-    slope, intercept = linear_fit(other.t[half], other.hs_sq[1.0][half])
-    r2_other = r_squared(other.t[half], other.hs_sq[1.0][half], slope, intercept)
+    slope, intercept = linear_fit(other.t[half], other.h1_sq[half])
+    r2_other = r_squared(other.t[half], other.h1_sq[half], slope, intercept)
     r2 = gaussian_preset_run.values["hs_fit_r2"]
     assert abs(r2_other - r2) <= 1e-6
     log_acceptance(f"PASS gaussian resolution: N=1024, dt=1e-3 vs preset N=4096, dt=2e-3: "

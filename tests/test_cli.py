@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import damped_szego
-from damped_szego.cli import _simulate_overrides, build_parser
+from damped_szego.cli import _simulate_overrides, build_parser, main
 from damped_szego.errors import ConfigError
 from damped_szego.hankel import KSpectrum
 from damped_szego.hardy import HardyState
@@ -149,11 +149,11 @@ def test_config_file_parsing(tmp_path):
         "n = 128\n"
         "dt = 1e-3\n"
         "t_end = 0.05\n"
-        "sobolev_exponents = 0.5, 1.0\n"
+        "snapshot_times = 0.5, 1.0\n"
     )
     overrides = load_config_file(cfg_file)
     assert overrides["grid_size"] == 128
-    assert overrides["sobolev_exponents"] == (0.5, 1.0)
+    assert overrides["snapshot_times"] == (0.5, 1.0)
     cfg = build_config("custom", overrides)
     assert cfg.alpha == 0.5 and cfg.grid_size == 128
 
@@ -162,6 +162,15 @@ def test_config_file_parsing(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config_file(cfg_file)
     assert err.value.field == "dealias"
+
+    # an empty list is (); an empty field is an error, not skipped: the later ones would shift
+    cfg_file.write_text("snapshot_times =\n")
+    assert load_config_file(cfg_file)["snapshot_times"] == ()
+    for value in ("2.5,,5", "2.5,", ",2.5", " , "):
+        cfg_file.write_text(f"t_end = 9\nsnapshot_times = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config_file(cfg_file)
+        assert (err.value.line, err.value.field) == (2, "snapshot_times")
 
     # runs write to the --out directory; there is no output key
     cfg_file.write_text("out = elsewhere\n")
@@ -199,32 +208,35 @@ def test_config_file_reports_line_and_field(tmp_path):
     assert err.value.line == 1
 
 
-def _simulate_parser():
+def _subparser(command):
     parser = build_parser()
-    return next(a for a in parser._actions if a.dest == "command").choices["simulate"]
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+# Every command's options after --help, as (flag, dest) pairs.
+_PINNED_FLAGS = {
+    "simulate": [("--preset", "preset"), ("--config", "config"), ("--out", "out"),
+                 ("--alpha", "alpha"), ("--dt", "dt"), ("--t-end", "t_end"), ("--n", "n"),
+                 ("--ic", "ic"), ("--record-stride", "record_stride"),
+                 ("--krasny-threshold", "krasny_threshold"),
+                 ("--spectrum-size", "spectrum_size"), ("--m", "m"), ("--beta-inf", "beta_inf"),
+                 ("--ode-dt", "ode_dt"), ("--t-start", "t_start"),
+                 ("--t-end-back", "t_end_back")],
+    "spectrum": [("--ic", "ic"), ("--n", "n"), ("--size", "size"), ("--out", "out")],
+    "wode": [("--b", "b"), ("--c", "c"), ("--p", "p"), ("--alpha", "alpha"), ("--dt", "dt"),
+             ("--t-end", "t_end"), ("--record-stride", "record_stride"), ("--s", "s"),
+             ("--out", "out")],
+    "verify": [("--alpha", "alpha"), ("--m", "m")],
+}
 
 
 def test_simulate_flags_are_pinned():
-    got = [(tuple(a.option_strings), a.dest) for a in _simulate_parser()._actions]
-    assert got == [
-        (("-h", "--help"), "help"),
-        (("--preset",), "preset"),
-        (("--config",), "config"),
-        (("--out",), "out"),
-        (("--alpha",), "alpha"),
-        (("--dt",), "dt"),
-        (("--t-end",), "t_end"),
-        (("--n",), "n"),
-        (("--ic",), "ic"),
-        (("--record-stride",), "record_stride"),
-        (("--krasny-threshold",), "krasny_threshold"),
-        (("--spectrum-size",), "spectrum_size"),
-        (("--m",), "m"),
-        (("--beta-inf",), "beta_inf"),
-        (("--ode-dt",), "ode_dt"),
-        (("--t-start",), "t_start"),
-        (("--t-end-back",), "t_end_back"),
-    ]
+    # every command's flags: a change to the option count is a deliberate edit here
+    for command, flags in _PINNED_FLAGS.items():
+        got = [(tuple(a.option_strings), a.dest) for a in _subparser(command)._actions]
+        assert got == [(("-h", "--help"), "help"), *(((f,), d) for f, d in flags)], command
+    assert sum(map(len, _PINNED_FLAGS.values())) == 31
+    assert len(CONFIG_KEYS) == 16
 
 
 # A value of each kind that differs from every preset default.
@@ -236,10 +248,10 @@ def test_flag_and_config_key_set_the_same_field(tmp_path, key):
     spec = CONFIG_KEYS[key]
     field = spec.field or key
     raw = _SAMPLE[spec.kind]
-    by_flag = _simulate_overrides(_simulate_parser().parse_args([spec.flag, raw]))
+    by_flag = _simulate_overrides(_subparser("simulate").parse_args([spec.flag, raw]))
     cfg_file = tmp_path / "one.cfg"
     cfg_file.write_text(f"{key} = {raw}\n")
-    by_file = _simulate_overrides(_simulate_parser().parse_args(["--config", str(cfg_file)]))
+    by_file = _simulate_overrides(_subparser("simulate").parse_args(["--config", str(cfg_file)]))
     assert by_flag == by_file == {field: by_file[field]}
     a, b = build_config("custom", by_flag), build_config("custom", by_file)
     assert a == b
@@ -250,7 +262,7 @@ def test_csv_table_formats_every_cell():
     assert csv_table([("i", range(1, 3)), ("x", np.array([0.5, 0.1])), ("n", [1, 3])]) == (
         "i,x,n\n1,0.5,1\n2,0.10000000000000001,3\n"
     )
-    spec = KSpectrum(np.array([16.0 / 9.0, 0.25]), np.array([1, 2]), 1e-8, 0.0)
+    spec = KSpectrum(np.array([16.0 / 9.0, 0.25]), np.array([1, 2]), 0.0)
     assert spectrum_csv(spec) == (
         "index,eigenvalue,multiplicity\n1,1.7777777777777777,1\n2,0.25,2\n"
     )
@@ -530,10 +542,11 @@ def test_non_finite_rank_one_run_is_a_blow_up(tmp_path, argv):
     assert not (out / "fit.json").exists() and not (out / "summary.json").exists()
 
 
-def test_removed_knobs_are_rejected(tmp_path):
-    # t_end = 1000 replaces paper_horizon; every fit reads H^1, so there is no s_fit;
-    # spectrum --cluster-tol/--rank-cutoff/--tol set what the last three set
-    for key in ("paper_horizon", "s_fit", "cluster_tol", "rank_cutoff", "criterion_tol"):
+def test_removed_knobs_are_rejected(tmp_path, capsys):
+    # t_end = 1000 replaces paper_horizon; every fit reads H^1, so there is no s_fit and
+    # the PDE records no other Sobolev exponent
+    for key in ("paper_horizon", "s_fit", "cluster_tol", "rank_cutoff", "criterion_tol",
+                "sobolev_exponents"):
         cfg_file = tmp_path / "old.cfg"
         cfg_file.write_text(f"{key} = 1\n")
         with pytest.raises(ConfigError) as err:
@@ -541,19 +554,16 @@ def test_removed_knobs_are_rejected(tmp_path):
         assert err.value.field == key
     for flag in ("--paper-horizon", "--s", "--jobs"):
         with pytest.raises(SystemExit):
-            _simulate_parser().parse_args([flag, "2"])
-
-
-def test_custom_run_fits_h1_beside_other_exponents(tmp_path):
-    overrides = {**small_custom_overrides(), "ic": "pole:0.3", "sobolev_exponents": (1.5,)}
-    result = run_experiment(build_config("custom", overrides), out_dir=tmp_path)
-    series = result.artifacts["diagnostics"]
-    assert set(series.hs_sq) == {1.0, 1.5}
-    header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
-    assert header.endswith(",hs_sq_1.00,hs_sq_1.50")
-    half = series.t >= 0.5 * series.t[-1]
-    slope, _ = np.polyfit(series.t[half], series.hs_sq[1.0][half], 1)
-    assert result.values["hs_slope"] == pytest.approx(slope, rel=1e-9)
+            _subparser("simulate").parse_args([flag, "2"])
+    # the spectrum tolerances are hankel constants, and verify reports s = 1
+    for argv in (["spectrum", "--ic", "pole:0.5", "--cluster-tol", "1e-8"],
+                 ["spectrum", "--ic", "pole:0.5", "--rank-cutoff", "1e-10"],
+                 ["spectrum", "--ic", "pole:0.5", "--tol", "1e-9"],
+                 ["verify", "--s", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_two_poles_needs_a_later_snapshot():
@@ -564,18 +574,17 @@ def test_two_poles_needs_a_later_snapshot():
     assert build_config("two_poles").later_snapshots() == (2.5, 5.0)
 
 
-def test_sobolev_exponents_below_half_are_rejected():
-    with pytest.raises(ConfigError) as err:
-        build_config("custom", {"sobolev_exponents": (0.2,)})
-    assert err.value.field == "sobolev_exponents"
+def test_snapshot_times_at_zero_and_past_t_end_are_accepted():
+    cfg = build_config("custom", {"snapshot_times": (0.0, 1e300)})
+    assert cfg.snapshot_times == (0.0, 1e300) and cfg.later_snapshots() == ()
 
 
-# The file-only keys: a finite Sobolev exponent, and gamma = M (1 - |p|^2) in (0, M]
+# The file-only keys: finite snapshot times >= 0, and gamma = M (1 - |p|^2) in (0, M]
 # (kappa_fit runs at M = 16/9).
 @pytest.mark.parametrize("preset, overrides", [
-    ("custom", {"sobolev_exponents": (1.0, math.inf)}),
-    ("custom", {"sobolev_exponents": (math.nan,)}),
-    ("custom", {"sobolev_exponents": (1.0, math.nan)}),
+    ("custom", {"snapshot_times": (0.5, math.nan, math.inf, -1.0)}),
+    ("custom", {"snapshot_times": (-1.0,)}),
+    ("custom", {"snapshot_times": (math.inf,)}),
     ("kappa_fit", {"gamma0": -1.0}),
     ("kappa_fit", {"gamma0": 0.0}),
     ("kappa_fit", {"gamma0": 5.0}),
@@ -658,24 +667,20 @@ def test_baby_reads_m_from_initial_data():
     (["simulate", "--preset", "stable_manifold", "--t-start", "inf"], "t_start"),
     (["simulate", "--preset", "stable_manifold", "--t-end-back", "nan"], "t_end_back"),
     (["simulate", "--preset", "stable_manifold", "--t-end-back=-inf"], "t_end_back"),
-    # spectrum tolerances: a positive finite rank cutoff, finite non-negative tolerances
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "nan"],
-     "rank_cutoff"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "0"],
-     "rank_cutoff"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "-1"],
-     "rank_cutoff"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--rank-cutoff", "inf"],
-     "rank_cutoff"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--cluster-tol", "nan"],
-     "cluster_tol"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--cluster-tol", "inf"],
-     "cluster_tol"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--cluster-tol", "-1"],
-     "cluster_tol"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "nan"], "tol"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "inf"], "tol"),
-    (["spectrum", "--ic", "pole:0.5", "--n", "256", "--size", "64", "--tol", "-1"], "tol"),
+    # the stable-manifold fits need 8 backward records (1e-3 apart) in [t_start/2, t_start]
+    # and 2 in [0.8 t_start, t_start]; the default t_start is about 5.313 here
+    (["simulate", "--preset", "stable_manifold", "--t-start", "0.01"], "t_start"),
+    (["simulate", "--preset", "stable_manifold", "--t-end-back", "5.307"], "t_start"),
+    (["simulate", "--preset", "stable_manifold", "--t-start", "0.003"], "t_start"),
+    (["simulate", "--preset", "stable_manifold", "--t-start", "2", "--t-end-back", "1.9995"],
+     "t_start"),
+    # a zero or negative beta_inf, step, threshold, odd grid or Gram size
+    (["simulate", "--preset", "stable_manifold", "--beta-inf", "0"], "beta_inf"),
+    (["simulate", "--preset", "stable_manifold", "--beta-inf", "-1"], "beta_inf"),
+    (["simulate", "--preset", "custom", "--n", "64", "--dt", "0"], "dt"),
+    (["simulate", "--krasny-threshold", "-0.1"], "krasny_threshold"),
+    (["simulate", "--n", "7"], "n"),
+    (["spectrum", "--ic", "pole:0.5", "--size", "-1"], "size"),
     # the baby targets, like single_pole's, read the momentum of u(0)
     (["simulate", "--preset", "baby", "--ic", "circle:0", "--n", "64", "--t-end", "0.05"],
      "ic"),
@@ -732,6 +737,9 @@ def test_baby_reads_m_from_initial_data():
       "--t-end", "3", "--dt", "1e-3"], "ic"),
     (["simulate", "--preset", "custom", "--ic", "circle:0", "--n", "64",
       "--t-end", "0.1", "--dt", "1e-3"], "ic"),
+    # the backward run's step count must fit a machine-sized integer
+    (["simulate", "--preset", "stable_manifold", "--t-end-back=-1e300"], "t_end_back"),
+    (["simulate", "--preset", "stable_manifold", "--t-end-back=-1e306"], "t_end_back"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))
@@ -745,14 +753,15 @@ def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
 @pytest.mark.parametrize("argv, field", [
     (["--alpha", "0"], "alpha"),
     (["--m", "0"], "m"),
-    (["--s", "-0.5"], "s"),
+    (["--m", "-1"], "m"),
     (["--alpha", "inf"], "alpha"),
     (["--m", "inf"], "m"),
-    (["--s", "inf"], "s"),
-    # the closed-form constants and the H^s growth coefficient overflow
+    (["--alpha", "nan"], "alpha"),
+    # the closed-form constants and the H^1 growth coefficient overflow
     (["--alpha", "1", "--m", "1e200"], "m"),
     (["--alpha", "1e300"], "alpha"),
-    (["--m", "1e10", "--s", "100"], "s"),
+    # M must be a number
+    (["--m", "nan"], "m"),
 ])
 def test_cli_verify_rejects_non_positive_alpha_and_m(argv, field):
     proc = run_cli("verify", *argv)

@@ -41,7 +41,7 @@ from helpers import (
 def make_spectrum(values, mults=None):
     values = np.asarray(values, dtype=float)
     mults = np.ones(len(values), dtype=int) if mults is None else np.asarray(mults)
-    return KSpectrum(values, mults, cluster_tol=1e-8, rank_cutoff=0.0)
+    return KSpectrum(values, mults, rank_cutoff=0.0)
 
 
 # --- Gram matrices ---------------------------------------------------------
@@ -433,7 +433,7 @@ def test_spectrum_report_eigendecomposes_once(monkeypatch, ic):
 
     counted("gram_k")
     counted("eigenvalues")
-    spec, verdict, summary = spectrum_report(ic, size=128, tol=1e-9)
+    spec, verdict, summary = spectrum_report(ic, size=128)
     assert calls == {"gram_k": 1, "eigenvalues": 1}
     monkeypatch.undo()
 
@@ -441,7 +441,7 @@ def test_spectrum_report_eigendecomposes_once(monkeypatch, ic):
     assert np.array_equal(spec.distinct_eigenvalues, alone.distinct_eigenvalues)
     assert np.array_equal(spec.multiplicities, alone.multiplicities)
     assert spec.rank_cutoff == alone.rank_cutoff
-    assert verdict == explosion_criterion(ic, alone, tol=1e-9)
+    assert verdict == explosion_criterion(ic, alone)
     assert summary["verdict"] == verdict.verdict.value
 
 
@@ -479,6 +479,6 @@ def test_rank_one_states_have_momentum_eigenvalue(p_abs, c_abs, b_abs, phase):
 
 def test_spectrum_invariants_enforced():
     with pytest.raises(ValueError):
-        KSpectrum(np.array([1.0, 2.0]), np.array([1, 1]), 1e-8, 0.0)
+        KSpectrum(np.array([1.0, 2.0]), np.array([1, 1]), 0.0)
     with pytest.raises(ValueError):
-        KSpectrum(np.array([1.0]), np.array([0]), 1e-8, 0.0)
+        KSpectrum(np.array([1.0]), np.array([0]), 0.0)

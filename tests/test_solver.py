@@ -172,15 +172,6 @@ def test_evolve_perturbed_circle_l2_dips():
     assert series.l2_sq.min() < series.l2_sq[0] - 0.1**2
 
 
-def test_evolve_records_requested_sobolev_norms():
-    u0 = pole_state(0.3, 64)
-    cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=0.1, grid_size=64,
-                       sobolev_exponents=(0.5, 1.0, 1.5))
-    series = evolve(u0, cfg).diagnostics
-    assert set(series.hs_sq) == {0.5, 1.0, 1.5}
-    assert all(len(series.hs_sq[s]) == len(series) for s in series.hs_sq)
-
-
 @pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")
 def test_evolve_snapshots():
     u0 = pole_state(0.5, 64)
@@ -211,7 +202,7 @@ def test_evolve_matches_full_grid_oracle(u0, dt, t_end, threshold):
     rows, loss_time, _ = full_grid_evolve(u0, 1.0, dt, cfg.n_steps, threshold, 10)
     series = result.diagnostics
     assert np.array_equal(series.t, rows[:, 0])
-    for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.hs_sq[1.0]), 1):
+    for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.h1_sq), 1):
         assert np.max(np.abs(got - rows[:, col])) <= 1e-12 * np.max(np.abs(rows[:, col]))
     assert result.resolution_loss_time == loss_time
 
@@ -233,7 +224,7 @@ def test_evolve_matches_full_grid_oracle_on_sparse_data(data):
         warnings.simplefilter("ignore", ResolutionLossWarning)
         series = evolve(u0, cfg).diagnostics
     rows, _, _ = full_grid_evolve(u0, 1.0, dt, cfg.n_steps, cfg.krasny_threshold, 5)
-    for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.hs_sq[1.0]), 1):
+    for col, got in enumerate((series.l2_sq, series.momentum, series.u0_abs, series.h1_sq), 1):
         assert np.max(np.abs(got - rows[:, col])) <= 1e-12 * np.max(np.abs(rows[:, col]))
 
 
@@ -317,13 +308,12 @@ def test_lyapunov_needs_three_rows():
 
 def test_diagnostics_csv_layout_and_determinism():
     u0 = pole_state(0.5, 64)
-    cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=0.05, grid_size=64,
-                       sobolev_exponents=(1.0, 0.5))
+    cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=0.05, grid_size=64)
     a = diagnostics_csv(evolve(u0, cfg).diagnostics)
     b = diagnostics_csv(evolve(u0, cfg).diagnostics)
     assert a == b
     header = a.splitlines()[0]
-    assert header == "t,l2_sq,momentum,u0_abs,hs_sq_0.50,hs_sq_1.00"
+    assert header == "t,l2_sq,momentum,u0_abs,hs_sq_1.00"
     assert a.endswith("\n") and "\r" not in a
 
 
@@ -336,5 +326,3 @@ def test_config_validation():
         SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0, grid_size=63)
     with pytest.raises(ValueError):
         SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0, grid_size=64, krasny_threshold=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0, grid_size=64, sobolev_exponents=(0.2,))
