@@ -101,29 +101,33 @@ def _grid(b: int, n: int) -> int:
     return min(n, 1 << (2 * b - 2).bit_length())
 
 
-def _nonlinear_coeffs(c: np.ndarray, m: int) -> np.ndarray:
-    """Projected cubic term P(|u|^2 u) on the modes of ``c``, from an m-point grid.
+def _rhs_coeffs(c: np.ndarray, alpha: float, work) -> np.ndarray:
+    """-i P(|u|^2 u) - alpha*(u|1) e_0 on the modes of ``c``, through m-point work arrays v, w, p.
 
     With b = len(c) the product holds frequencies -(b-1) .. 2b-2, so for
     m >= 2b - 1 none of them aliases onto the output modes 0 .. b-1.  The
     collocation-grid offset drops out of the round trip for even m, so the
-    plain FFT grid is used here.
+    plain FFT grid is used here.  The forward transform is unnormalised, as
+    1/m rounds the same there or in -i/m; the product goes to p, not in
+    place, as numpy rounds an in-place one-point product in another loop.
     """
-    v = np.fft.ifft(c, m, norm="forward")
-    return np.fft.fft(v * v * np.conj(v), norm="forward")[: c.shape[0]]
-
-
-def _rhs_coeffs(c: np.ndarray, m: int, alpha: float) -> np.ndarray:
-    out = -1j * _nonlinear_coeffs(c, m)
+    v, w, p = work
+    m = v.shape[0]
+    np.fft.ifft(c, m, norm="forward", out=v)
+    np.multiply(v, v, out=w)
+    np.multiply(w, np.conjugate(v, out=v), out=p)
+    np.fft.fft(p, out=p)
+    out = (-1j / m) * p[: c.shape[0]]
     out[0] -= alpha * c[0]
     return out
 
 
 def _rk4_coeffs(c, m, alpha, dt):
-    k1 = _rhs_coeffs(c, m, alpha)
-    k2 = _rhs_coeffs(c + (0.5 * dt) * k1, m, alpha)
-    k3 = _rhs_coeffs(c + (0.5 * dt) * k2, m, alpha)
-    k4 = _rhs_coeffs(c + dt * k3, m, alpha)
+    work = tuple(np.empty((3, m), dtype=complex))
+    k1 = _rhs_coeffs(c, alpha, work)
+    k2 = _rhs_coeffs(c + (0.5 * dt) * k1, alpha, work)
+    k3 = _rhs_coeffs(c + (0.5 * dt) * k2, alpha, work)
+    k4 = _rhs_coeffs(c + dt * k3, alpha, work)
     return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -148,7 +152,7 @@ def _step(c, ka, n, alpha, dt, threshold, t):
     while True:
         b = min(k, 2 * ka - 1)
         cb = _rk4_coeffs(c[:b], _grid(b, n), alpha, dt)
-        if not np.all(np.isfinite(cb)):
+        if not np.isfinite(cb).all():
             raise BlowUpError(t)
         a = np.abs(cb)
         if threshold > 0:

@@ -563,6 +563,10 @@ def _delta_form_q(beta, delta, zr, zi, m):
 # moves the gated fit values by about 1e-10 relative (test_ode_presets_are_step_converged).
 BACKWARD_STEP = 1e-3
 
+# Backward steps run and checked at a time: a run that leaves the float range stops
+# there, instead of storing every step down to t_end_back first.
+_BACKWARD_CHUNK = 1 << 16
+
 
 # The most orders the stable-manifold seed's power series takes before it counts as divergent.
 _MAX_SERIES_ORDER = 60
@@ -667,14 +671,20 @@ def stable_manifold_trajectory(beta_inf: float, alpha: float, m: float, t_start:
     terms = _manifold_terms(beta_inf, alpha, m, t_start)
     seed = terms.sum(axis=0)
 
-    # backward to t_end_back, then forward again as the round-trip check
+    # backward to t_end_back in checked chunks, then forward again as the round-trip check
     n_steps, step = _backward_grid(t_start, t_end_back)
-    steps = _record_steps(n_steps, 1)
-    t_back = t_start + np.array(steps) * -step
     # stepped in the chart x = gamma - M = -delta of _rk4_reduced; negation is exact
     flip = np.array([1.0, -1.0, 1.0, 1.0])
-    back = _rk4_reduced((seed * flip).tolist(), -step, steps, alpha, m, m) * flip
-    _require_finite(t_back, back)
+    t_parts, parts = [np.array([t_start])], [(seed * flip)[None]]
+    for lo in range(0, n_steps, _BACKWARD_CHUNK):
+        steps = np.arange(lo, min(lo + _BACKWARD_CHUNK, n_steps) + 1)
+        t = t_start + steps * -step
+        rows = _rk4_reduced(parts[-1][-1].tolist(), -step, steps.tolist(), alpha, m, m)
+        _require_finite(t, rows)
+        t_parts.append(t[1:])
+        parts.append(rows[1:])
+    t_back = np.concatenate(t_parts)
+    back = np.concatenate(parts) * flip
     forward = _rk4_reduced((back[-1] * flip).tolist(), step, [0, n_steps], alpha, m, m)[-1] * flip
     roundtrip = float(np.max(np.abs(forward - seed)))
 

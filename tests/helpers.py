@@ -1,8 +1,9 @@
 """Oracles and fixtures used by the test suite only.
 
-Most are independent brute-force computations.  ``reference_gram`` and
-``reference_sobolev_sq_w`` are earlier forms of the package's Gram build and
-H^s sum, kept as oracles for their rewrites.  ``gram_h`` and ``rhs`` are
+Most are independent brute-force computations.  ``reference_gram``,
+``reference_sobolev_sq_w``, ``reference_rhs_coeffs`` and ``reference_rk4_coeffs``
+are earlier forms of the package's Gram build, H^s sum and band kernel, kept as
+oracles for their rewrites.  ``gram_h`` and ``rhs`` are
 thin wrappers over the package's Gram and band kernels, so the tests built
 on them still exercise the package code; ``delta_rhs`` reads its Q from the
 package's ``_delta_form_q``.  ``w_rhs``, and ``factored_reduced_rhs`` with
@@ -50,7 +51,7 @@ def rhs(u: HardyState, alpha: float) -> HardyState:
     c = u.coeffs
     b = min(c.shape[0], 2 * _extent(c) - 1)
     out = np.zeros(c.shape[0], dtype=complex)
-    out[:b] = _rhs_coeffs(c[:b], _grid(b, u.grid_size), alpha)
+    out[:b] = _rhs_coeffs(c[:b], alpha, np.empty((3, _grid(b, u.grid_size)), dtype=complex))
     return HardyState(out, u.grid_size)
 
 
@@ -178,6 +179,26 @@ def full_grid_rhs(c: np.ndarray, n: int, alpha: float) -> np.ndarray:
     out = -1j * np.fft.fft(v * v * np.conj(v))[: c.shape[0]] / n
     out[0] -= alpha * c[0]
     return out
+
+
+def reference_rhs_coeffs(c: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """One stage of the band kernel on an m-point grid, with fresh arrays and the
+    forward transform scaled by 1/m; the package's ``_rhs_coeffs`` must equal it
+    byte for byte."""
+    v = np.fft.ifft(c, m, norm="forward")
+    out = -1j * np.fft.fft(v * v * np.conj(v), norm="forward")[: c.shape[0]]
+    out[0] -= alpha * c[0]
+    return out
+
+
+def reference_rk4_coeffs(c: np.ndarray, m: int, alpha: float, dt: float) -> np.ndarray:
+    """One RK4 step of the band ``c`` on :func:`reference_rhs_coeffs`; the package's
+    ``_rk4_coeffs`` must equal it byte for byte."""
+    k1 = reference_rhs_coeffs(c, m, alpha)
+    k2 = reference_rhs_coeffs(c + (0.5 * dt) * k1, m, alpha)
+    k3 = reference_rhs_coeffs(c + (0.5 * dt) * k2, m, alpha)
+    k4 = reference_rhs_coeffs(c + dt * k3, m, alpha)
+    return c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def full_grid_evolve(u0: HardyState, alpha, dt, n_steps, threshold, stride, ratio=1e-8, grid=None):

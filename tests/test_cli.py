@@ -832,6 +832,17 @@ def test_cli_surfaces_blow_up_with_time(tmp_path):
     assert "blew up at t=" in proc.stderr
 
 
+def test_stable_manifold_far_backward_run_stops_at_blow_up(tmp_path):
+    # t_end_back = -1e15 passes validation as 1e18 backward steps; the orbit leaves the
+    # float range near t = -3.95, and the run must stop there, not store every step first
+    proc = run_cli("simulate", "--preset", "stable_manifold", "--t-end-back=-1e15",
+                   "--out", str(tmp_path / "out"), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    t_reached = re.search(r"at t=(\S+) \(the last finite one\)", proc.stderr)
+    assert float(t_reached.group(1)) == pytest.approx(-3.95, abs=0.01)
+
+
 def test_initial_condition_domain_validation():
     with pytest.raises(ConfigError):
         parse_initial_condition("pole:1.2", 64)  # |p| >= 1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damped_szego import solver
 from damped_szego.errors import BlowUpError, ResolutionLossWarning
 from damped_szego.hardy import HardyState
 from damped_szego.hankel import eigenvalues, gram_k
@@ -13,13 +14,19 @@ from damped_szego.reporting import diagnostics_csv
 from damped_szego.solver import (
     SolverConfig,
     _grid,
-    _nonlinear_coeffs,
+    _rhs_coeffs,
     check_lyapunov,
     evolve,
     rk4_step,
 )
 
-from helpers import full_grid_evolve, full_grid_rhs, rhs
+from helpers import (
+    full_grid_evolve,
+    full_grid_rhs,
+    reference_rhs_coeffs,
+    reference_rk4_coeffs,
+    rhs,
+)
 
 
 def mode_state(values, n):
@@ -78,8 +85,60 @@ def test_band_grid_is_alias_free(data):
     b = 2 * ka - 1
     band = rng.standard_normal(b) + 1j * rng.standard_normal(b)
     expected = full_grid_rhs(band, n, 0.0)
-    out = -1j * _nonlinear_coeffs(band, _grid(b, n))
+    out = _rhs_coeffs(band, 0.0, np.empty((3, _grid(b, n)), dtype=complex))
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_band_kernel_equals_its_reference_bytewise(data):
+    # reused work arrays and the 1/m folded into -i/m change no bit of a step
+    n = data.draw(st.sampled_from([6, 24, 96, 1000, 1024]))
+    ka = data.draw(st.integers(1, n // 2))
+    threshold = data.draw(st.sampled_from([0.0, 1e-12]))
+    alpha = data.draw(st.floats(0.0, 3.0))
+    dt = data.draw(st.floats(1e-4, 0.1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # moduli spread over 16 decades, so the filter zeroes some modes and the band can grow
+    size = 10.0 ** rng.uniform(-16.0, 0.0, ka)
+    u = mode_state(size * (rng.standard_normal(ka) + 1j * rng.standard_normal(ka)), n)
+    # one stage on a stage input filling b = 2*ka - 1 modes, and on its first mode alone
+    # (a one-point grid); a step scales a stage's last bits by dt, often away
+    b = min(n // 2, 2 * ka - 1)
+    band = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    for c in (band, band[:1]):
+        m = _grid(c.shape[0], n)
+        out = _rhs_coeffs(c, alpha, np.empty((3, m), dtype=complex))
+        assert out.tobytes() == reference_rhs_coeffs(c, m, alpha).tobytes()
+    out = rk4_step(u, alpha, dt, threshold).coeffs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_rk4_coeffs", reference_rk4_coeffs)
+        expected = rk4_step(u, alpha, dt, threshold).coeffs
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_a_step_makes_eight_transforms(monkeypatch):
+    # looked up on numpy.fft at call time, two per stage: a count, not a timing
+    calls = {"fft": 0, "ifft": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    # the circle orbit keeps its band
+    rk4_step(mode_state([0.0, 1.5], 64), 1.0, 1e-3, krasny_threshold=1e-12)
+    assert calls == {"fft": 4, "ifft": 4, "step": 0}
+    # this band grows, so some steps are redone; each attempt makes eight
+    monkeypatch.setattr(solver, "_rk4_coeffs", counted("step", solver._rk4_coeffs))
+    calls.update(fft=0, ifft=0)
+    cfg = SolverConfig(alpha=1.0, dt=1e-2, t_end=0.2, grid_size=64)
+    evolve(mode_state([1.0, 0.5], 64), cfg)
+    assert calls["step"] > cfg.n_steps
+    assert calls["fft"] == calls["ifft"] == 4 * calls["step"]
 
 
 # --- single steps ----------------------------------------------------------

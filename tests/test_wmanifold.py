@@ -782,6 +782,22 @@ def test_stable_manifold_backward_blow_up_is_reported():
     assert -30.0 < err.value.t_reached < 0.0
 
 
+def test_stable_manifold_backward_chunks_join_bitwise(monkeypatch):
+    # the backward run goes chunk by chunk; with 1000-step chunks the default run's 5 313
+    # steps take six, and its records and round trip, and a blow-up's time, stay the same
+    whole = stable_manifold_trajectory(1.0, 1.0, 1.0)
+    with pytest.raises(BlowUpError) as whole_err:
+        stable_manifold_trajectory(1.0, 1.0, 1.0, t_end_back=-30.0)
+    monkeypatch.setattr(wmanifold, "_BACKWARD_CHUNK", 1000)
+    chunked = stable_manifold_trajectory(1.0, 1.0, 1.0)
+    for name in ("t", "beta", "delta", "zeta"):
+        assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert chunked.roundtrip_residual == whole.roundtrip_residual
+    with pytest.raises(BlowUpError) as err:
+        stable_manifold_trajectory(1.0, 1.0, 1.0, t_end_back=-30.0)
+    assert err.value.t_reached == whole_err.value.t_reached
+
+
 def test_stable_manifold_rejects_bad_window():
     with pytest.raises(ValueError):
         stable_manifold_trajectory(1.0, 1.0, 1.0, t_start=2.0, t_end_back=3.0)
