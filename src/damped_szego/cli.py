@@ -8,7 +8,6 @@ iff every configured check passed.
 
 import argparse
 import cmath
-import json
 import math
 import sys
 
@@ -27,13 +26,14 @@ from .presets import (
     spectrum_report,
     verify_identities,
 )
-from .reporting import w_trajectory_csv, write_files
+from .reporting import json_text, reduced_trajectory_csv, write_files
 from .wmanifold import (
     WState,
     asymptotic_constants,
     classify_w_run,
     growth_fit,
-    integrate_w,
+    integrate_reduced,
+    require_rank_one,
 )
 
 
@@ -66,7 +66,7 @@ def build_parser():
     spect.add_argument("--size", type=int, default=128, help="Gram truncation size")
     spect.add_argument("--out", help="write spectrum.csv, spectrum.json and verdict.json here")
 
-    wode = sub.add_parser("wode", help="integrate the rank-one (b, c, p) system")
+    wode = sub.add_parser("wode", help="integrate the rank-one system from (b, c, p)")
     wode.add_argument("--b", type=_complex, default=0j)
     wode.add_argument("--c", type=_complex, default=1 + 0j)
     wode.add_argument("--p", type=_complex, default=0.5 + 0j)
@@ -105,7 +105,7 @@ def _cmd_spectrum(args):
     require({"size": (args.size >= 1, "size must be >= 1")})
     u = parse_initial_condition(args.ic, args.n)
     spec, _, summary = spectrum_report(u, size=args.size)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json_text(summary))
     if args.out:
         write_files(args.out, spectrum_files(spec, summary))
     return 0
@@ -135,21 +135,26 @@ def _cmd_wode(args):
               "c must be finite and nonzero, with a finite momentum |c|^2/(1-|p|^2)^2"),
     })
     w0 = WState(b=args.b, c=args.c, p=args.p)
-    traj = integrate_w(w0, args.alpha, args.dt, args.t_end, record_stride=args.record_stride)
+    m = w0.momentum
+    # stepped in the reduced chart, which stays finite at a step too large for the
+    # momentum; such a step shows as records off the chart's invariant
+    traj = integrate_reduced(w0.reduced(), args.alpha, m, args.dt, args.t_end,
+                             record_stride=args.record_stride)
+    require_rank_one(traj)
     label = classify_w_run(traj)
-    payload = {"classification": label, "momentum": float(traj.momentum[0])}
+    payload = {"classification": label, "momentum": m}
     fits = []
     if label == "exploding":
-        consts = asymptotic_constants(args.alpha, float(traj.momentum[0]))
+        consts = asymptotic_constants(args.alpha, m)
         report = growth_fit(traj, consts, args.s)
         fits.append({"name": f"hs_sq_growth_s_{args.s:.2f}",
                      "target": report.target_prefactor, "fitted": report.fitted_prefactor,
                      "rel_dev": report.prefactor_rel_dev, "window": list(report.window),
                      "slope": report.fitted_slope, "target_slope": report.target_slope})
     payload["fits"] = fits
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     if args.out:
-        write_files(args.out, {"trajectory.csv": w_trajectory_csv(traj), "fit.json": payload})
+        write_files(args.out, {"trajectory.csv": reduced_trajectory_csv(traj), "fit.json": payload})
     return 0
 
 
@@ -162,7 +167,7 @@ def _cmd_verify(args):
     printable = dict(report)
     printable["lambda_plus"] = [report["lambda_plus"].real, report["lambda_plus"].imag]
     printable["lambda_minus"] = [report["lambda_minus"].real, report["lambda_minus"].imag]
-    print(json.dumps(printable, indent=2, sort_keys=True))
+    print(json_text(printable))
     return 0 if report["passed"] else 1
 
 

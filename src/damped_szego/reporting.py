@@ -2,10 +2,12 @@
 
 Floats are rendered with 17 significant digits, lines end with LF, and no
 wall-clock content reaches the CSVs, so identical configurations produce
-bit-identical files.
+bit-identical files.  JSON is strict: a non-finite float is written as the
+string "nan", "inf" or "-inf".
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -14,9 +16,9 @@ __all__ = [
     "csv_table",
     "diagnostics_csv",
     "spectrum_csv",
-    "w_trajectory_csv",
     "reduced_trajectory_csv",
     "stable_trajectory_csv",
+    "json_text",
     "write_text",
     "write_json",
     "write_files",
@@ -46,16 +48,6 @@ def spectrum_csv(spec) -> str:
                       ("multiplicity", spec.multiplicities)])
 
 
-def w_trajectory_csv(traj) -> str:
-    return csv_table([
-        ("t", traj.t),
-        ("re_b", traj.b.real), ("im_b", traj.b.imag),
-        ("re_c", traj.c.real), ("im_c", traj.c.imag),
-        ("re_p", traj.p.real), ("im_p", traj.p.imag),
-        ("beta", traj.beta), ("gamma", traj.gamma), ("momentum", traj.momentum),
-    ])
-
-
 def reduced_trajectory_csv(traj) -> str:
     return csv_table([("t", traj.t), ("beta", traj.beta), ("gamma", traj.gamma),
                       ("re_zeta", traj.zeta.real), ("im_zeta", traj.zeta.imag)])
@@ -72,12 +64,19 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # "nan", "inf" or "-inf"
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonify(obj.real), "im": _jsonify(obj.imag)}
     return obj
+
+
+def json_text(payload) -> str:
+    """Strict JSON of ``payload``: two-space indent, sorted keys, no bare NaN or Infinity."""
+    return json.dumps(_jsonify(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_text(path, text):
@@ -87,8 +86,7 @@ def write_text(path, text):
 
 def write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonify(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload) + "\n")
 
 
 def write_files(out_dir, files) -> dict:

@@ -4,13 +4,13 @@ States u = b + c e^{ix} / (1 - p e^{ix}) with |p| < 1, c != 0 are exactly
 the symbols whose shifted Hankel operator has rank one, and the damped flow
 restricts to an explicit ODE in (b, c, p).  At fixed momentum M it reduces to
 the gauge-invariant (beta, gamma, zeta) = (|b|^2, M(1-|p|^2), M c conj(b) conj(p)),
-stepped in gamma for the slow algebraic decay of exploding orbits and, from a
-power-series seed, in gamma - M = -delta for trajectories converging to the circle orbit.
+the one chart stepped here: in gamma for the slow algebraic decay of exploding orbits
+and, from a power-series seed, in gamma - M = -delta for trajectories converging to the
+circle orbit.
 """
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +23,11 @@ __all__ = [
     "WState",
     "ReducedState",
     "AsymptoticConstants",
-    "WTrajectory",
     "ReducedTrajectory",
     "StableManifoldResult",
     "w_to_hardy",
-    "integrate_w",
     "integrate_reduced",
+    "require_rank_one",
     "record_times",
     "asymptotic_constants",
     "gamma_tail_fit",
@@ -68,9 +67,14 @@ class WState:
     def momentum(self) -> float:
         return abs(self.c) ** 2 / (1.0 - abs(self.p) ** 2) ** 2
 
-    @property
-    def l2_sq(self) -> float:
-        return abs(self.b) ** 2 + abs(self.c) ** 2 / (1.0 - abs(self.p) ** 2)
+    def reduced(self) -> "ReducedState":
+        """(beta, gamma, zeta) = (|b|^2, M(1-|p|^2), M c conj(b) conj(p)) at this momentum M."""
+        m = self.momentum
+        return ReducedState(
+            beta=abs(self.b) ** 2,
+            gamma=m * (1.0 - abs(self.p) ** 2),
+            zeta=m * self.c * self.b.conjugate() * self.p.conjugate(),
+        )
 
 
 @dataclass(frozen=True)
@@ -137,30 +141,6 @@ def w_to_hardy(w: WState, n: int) -> HardyState:
 # ---------------------------------------------------------------------------
 # integrators
 # ---------------------------------------------------------------------------
-
-@dataclass
-class WTrajectory:
-    t: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    p: np.ndarray
-    momentum: np.ndarray
-
-    @property
-    def beta(self):
-        return np.abs(self.b) ** 2
-
-    @property
-    def gamma(self):
-        return self.momentum * (1.0 - np.abs(self.p) ** 2)
-
-    @property
-    def l2_sq(self):
-        return self.beta + self.gamma
-
-    def state(self, i: int) -> WState:
-        return WState(complex(self.b[i]), complex(self.c[i]), complex(self.p[i]))
-
 
 @dataclass
 class ReducedTrajectory:
@@ -258,62 +238,6 @@ def _rk4_reduced(y0, dt, steps, alpha, m, g0=0.0):
     return out
 
 
-def _rk4_w(y0, dt, steps, alpha):
-    """RK4 on the (b, c, p) system, recorded as :func:`_rk4_reduced` records, into
-    a complex ``(len(steps), 3)`` array.
-
-    The momentum M = |c|^2 / (1 - |p|^2)^2 is recomputed at every stage.  The
-    system has six real unknowns, so it keeps complex scalars: a six-real
-    loop would slow it.
-    """
-    b, c, p = y0
-    h = 0.5 * dt
-    h6 = dt / 6.0
-    na = -alpha
-    out = np.empty((len(steps), 3), dtype=complex)
-    out[0] = y0
-    for j in range(1, len(steps)):
-        for _ in range(steps[j] - steps[j - 1]):
-            gt = 1.0 - (p.real * p.real + p.imag * p.imag)
-            m = (c.real * c.real + c.imag * c.imag) / (gt * gt)
-            bb = b.real * b.real + b.imag * b.imag
-            b1 = na * b - 1j * ((bb + 2.0 * m * gt) * b + m * c * p.conjugate())
-            c1 = -1j * ((2.0 * bb + m) * c + 2.0 * m * gt * b * p)
-            p1 = -1j * (m * gt * p + c * b.conjugate())
-            x = b + h * b1
-            y = c + h * c1
-            z = p + h * p1
-            gt = 1.0 - (z.real * z.real + z.imag * z.imag)
-            m = (y.real * y.real + y.imag * y.imag) / (gt * gt)
-            bb = x.real * x.real + x.imag * x.imag
-            b2 = na * x - 1j * ((bb + 2.0 * m * gt) * x + m * y * z.conjugate())
-            c2 = -1j * ((2.0 * bb + m) * y + 2.0 * m * gt * x * z)
-            p2 = -1j * (m * gt * z + y * x.conjugate())
-            x = b + h * b2
-            y = c + h * c2
-            z = p + h * p2
-            gt = 1.0 - (z.real * z.real + z.imag * z.imag)
-            m = (y.real * y.real + y.imag * y.imag) / (gt * gt)
-            bb = x.real * x.real + x.imag * x.imag
-            b3 = na * x - 1j * ((bb + 2.0 * m * gt) * x + m * y * z.conjugate())
-            c3 = -1j * ((2.0 * bb + m) * y + 2.0 * m * gt * x * z)
-            p3 = -1j * (m * gt * z + y * x.conjugate())
-            x = b + dt * b3
-            y = c + dt * c3
-            z = p + dt * p3
-            gt = 1.0 - (z.real * z.real + z.imag * z.imag)
-            m = (y.real * y.real + y.imag * y.imag) / (gt * gt)
-            bb = x.real * x.real + x.imag * x.imag
-            b4 = na * x - 1j * ((bb + 2.0 * m * gt) * x + m * y * z.conjugate())
-            c4 = -1j * ((2.0 * bb + m) * y + 2.0 * m * gt * x * z)
-            p4 = -1j * (m * gt * z + y * x.conjugate())
-            b += h6 * (b1 + 2 * b2 + 2 * b3 + b4)
-            c += h6 * (c1 + 2 * c2 + 2 * c3 + c4)
-            p += h6 * (p1 + 2 * p2 + 2 * p3 + p4)
-        out[j] = b, c, p
-    return out
-
-
 def _complex_column(re, im):
     """Complex array with exactly these parts; ``re + 1j*im`` can flip a zero's sign."""
     z = np.empty(re.shape, dtype=complex)
@@ -339,37 +263,32 @@ def _require_finite(ts, rows):
                           f"t={ts[bad - 1]:.6g} (the last finite one) and t={ts[bad]:.6g}")
 
 
+# A (b, c, p) state's reduced run keeps |zeta|^2 = (M - gamma) gamma^2 beta exactly; a
+# record off it by more than this many max(M, beta)^3 took a step too large for the
+# state.  At alpha = 1, dt = 1e-3 and t = 20 the residual stays below 1.3e-6 max(M, beta)^3
+# over |b| <= 10, |c| <= 1, |p| <= 0.9 (420 states), and reaches 5.0e-5 at b = 10,
+# c = 1.5, p = 0.9 (gamma 9.4e-5 off) and 3.4e-4 at c = 10, p = 0.5 (gamma 5.3e-4 off).
+INVARIANT_TOL = 1e-5
+
+
+def require_rank_one(traj: ReducedTrajectory):
+    """Raise :class:`BlowUpError` at the last record of ``traj`` within ``INVARIANT_TOL``
+    max(M, beta)^3 of |zeta|^2 = (M - gamma) gamma^2 beta, if a later one is not."""
+    m, beta, gamma = traj.momentum, traj.beta, traj.gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.abs(traj.zeta) ** 2 - (m - gamma) * gamma**2 * beta
+        good = np.abs(resid) <= INVARIANT_TOL * np.maximum(m, beta) ** 3
+    if not good.all():
+        bad = int(np.argmin(good))
+        raise BlowUpError(traj.t[max(bad - 1, 0)],
+                          f"the records leave |zeta|^2 = (M - gamma) gamma^2 beta at "
+                          f"t={traj.t[bad]:.6g}: a step too large for the state "
+                          f"(M = {m:.6g}, beta(0) = {beta[0]:.6g})")
+
+
 def record_times(dt: float, t_end: float, record_stride: int = 1) -> np.ndarray:
-    """The times :func:`integrate_w` and :func:`integrate_reduced` record at."""
+    """The times :func:`integrate_reduced` records at."""
     return np.array(_record_steps(_n_steps(dt, t_end, record_stride), record_stride)) * dt
-
-
-def integrate_w(w0: WState, alpha: float, dt: float, t_end: float,
-                record_stride: int = 1) -> WTrajectory:
-    """RK4 on the (b, c, p) system, recording every ``record_stride`` steps.
-
-    Warns when a recorded |p| comes within 1e-6 of 1 (the explosion regime
-    outruns the parameterisation, though the ODE itself stays finite).
-    Raises :class:`BlowUpError`, carrying the time of the last finite record,
-    if a recorded state is not finite: a step too large for the momentum.
-    """
-    steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
-    ts = np.array(steps) * dt
-    rows = _rk4_w((w0.b, w0.c, w0.p), dt, steps, alpha)
-    _require_finite(ts, rows)
-    # Python abs, as np.abs can differ by an ulp, which 1 - |p|^2 amplifies
-    cp = [(abs(c), abs(p)) for _, c, p in rows.tolist()]
-    near = [t for t, (_, ap) in zip(ts, cp) if ap > 1.0 - 1e-6]
-    if near:
-        warnings.warn(f"|p| within 1e-6 of 1 at t={near[0]:.6g}; coefficient tail "
-                      "under-resolved", RuntimeWarning, stacklevel=2)
-    return WTrajectory(
-        t=ts,
-        b=rows[:, 0],
-        c=rows[:, 1],
-        p=rows[:, 2],
-        momentum=np.array([ac**2 / (1.0 - ap**2) ** 2 for ac, ap in cp]),
-    )
 
 
 # The windowed path of integrate_reduced (parareal: Lions, Maday & Turinici, C. R. Acad.
@@ -391,7 +310,7 @@ def _window_intervals(dt, stride, alpha, m):
     return int(_WINDOW_SPAN / (stride * dt * max(1.0, alpha, m)))
 
 
-def _rk4_windows(y0, dt, steps, stride, alpha, m):
+def _rk4_parareal(y0, dt, steps, stride, alpha, m):
     """:func:`_rk4_reduced` at the record ``steps`` (every ``stride``-th and the last) by
     parareal sweeps over windows of whole record intervals.
 
@@ -438,10 +357,10 @@ def _rk4_windows(y0, dt, steps, stride, alpha, m):
 def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end: float,
                       record_stride: int = 1) -> ReducedTrajectory:
     """RK4 on the (beta, gamma, zeta) system at fixed momentum; raises
-    :class:`BlowUpError` on a non-finite record, as :func:`integrate_w` does.
+    :class:`BlowUpError` at the last finite record if a later one is not finite.
 
     A long run at a fine step is taken by parareal sweeps over windows of whole record
-    intervals (:func:`_rk4_windows`), its records equal to the sequential loop's to
+    intervals (:func:`_rk4_parareal`), its records equal to the sequential loop's to
     roundoff; every other run takes the sequential loop.
     """
     zeta = complex(r0.zeta)
@@ -449,7 +368,7 @@ def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end
     ts = np.array(steps) * dt
     y0 = (float(r0.beta), float(r0.gamma), zeta.real, zeta.imag)
     with np.errstate(over="ignore", invalid="ignore"):
-        windowed = _rk4_windows(y0, dt, steps, record_stride, alpha, m)
+        windowed = _rk4_parareal(y0, dt, steps, record_stride, alpha, m)
     rows, sweeps = windowed or (_rk4_reduced(y0, dt, steps, alpha, m), 0)
     _require_finite(ts, rows)
     return ReducedTrajectory(
@@ -725,25 +644,26 @@ def delta_beta_ratio(result: StableManifoldResult) -> tuple:
 _MAX_SUM_TERMS = 1 << 24
 
 
-def sobolev_sq_w(b: complex, c: complex, p: complex, s: float) -> float:
-    """Exact squared H^s norm |b|^2 + |c|^2 sum_{k>=1} (1+k^2)^s r^(k-1), r = |p|^2.
+def sobolev_sq_w(beta: float, gamma: float, m: float, s: float) -> float:
+    """Exact squared H^s norm |b|^2 + |c|^2 sum_{k>=1} (1+k^2)^s r^(k-1) of the rank-one
+    state at (beta, gamma) and momentum m: r = |p|^2 = 1 - gamma/m and |c|^2 = gamma^2/m.
 
-    For s = 1 the sum is 1/(1-r) + (1+r)/(1-r)^3.  For other s it is summed
-    in chunks, each term formed as exp(s log(1+k^2) + (k-1) log r), so that no
-    factor overflows into inf * 0; a norm beyond the float range is inf.
-    Raises :class:`FitError` if the sum has not converged in 2^24 terms.
+    For s = 1 it is beta + gamma - m + 2 m^2/gamma.  For other s the sum is added
+    in chunks, each term formed as exp(s log(1+k^2) + (k-1) log r) with
+    log r = log1p(-gamma/m), so that no factor overflows into inf * 0; a norm beyond
+    the float range is inf.  Raises :class:`FitError` if the sum has not converged
+    in 2^24 terms.
     """
-    r = abs(p) ** 2
-    if r >= 1:
-        raise ValueError("|p| must be < 1")
-    total = abs(b) ** 2
-    amp = abs(c) ** 2
+    if not 0.0 < gamma <= m:
+        raise ValueError("gamma must lie in (0, M]: |p| < 1")
     if s == 1.0:
-        return total + amp * (1.0 / (1.0 - r) + (1.0 + r) / (1.0 - r) ** 3)
+        return beta + gamma - m + 2.0 * m * m / gamma
+    total = beta
+    amp = gamma * gamma / m
     with np.errstate(over="ignore"):
-        if r == 0.0:  # only the k = 1 term is nonzero
+        if gamma == m:  # r = 0: only the k = 1 term is nonzero
             return total + amp * float(np.exp(s * math.log(2.0)))
-        log_r = math.log(r)
+        log_r = math.log1p(-gamma / m)
         chunk = 512
         for k0 in range(1, _MAX_SUM_TERMS, chunk):
             k = np.arange(k0, k0 + chunk, dtype=float)
@@ -751,7 +671,7 @@ def sobolev_sq_w(b: complex, c: complex, p: complex, s: float) -> float:
             total += float(terms.sum())
             if math.isinf(total) or (terms[-1] < 1e-17 * max(total, 1e-300) and k0 > 2 * s + 2):
                 return total
-    raise FitError(f"the H^{s:g} sum at |p|^2 = {r!r} has not converged in "
+    raise FitError(f"the H^{s:g} sum at |p|^2 = 1 - {gamma / m!r} has not converged in "
                    f"{_MAX_SUM_TERMS} terms")
 
 
@@ -767,30 +687,27 @@ class GrowthFitReport:
     window: tuple
 
 
-def growth_fit(traj: WTrajectory, constants: AsymptoticConstants, s: float) -> GrowthFitReport:
+def growth_fit(traj: ReducedTrajectory, constants: AsymptoticConstants,
+               s: float) -> GrowthFitReport:
     """Compare Sobolev growth along an exploding rank-one run to its closed form.
 
-    The squared H^s norm is summed exactly from the geometric coefficients.
+    The squared H^s norm is summed exactly from the geometric coefficients
+    (:func:`sobolev_sq_w`).
     Over the last decade of times, [t_end/10, t_end] (reported as ``window``),
     the observed exponent comes from
     a free log-log fit, while the prefactor is extracted at the target
     exponent 2s-1 (geometric mean of hs / t^{2s-1}), which keeps it
     well-conditioned when the fitted exponent is still drifting.
     """
-    one_minus = 1.0 - np.abs(traj.p) ** 2
-    if one_minus[-1] > 0.25 * one_minus[0]:
+    if traj.gamma[-1] > 0.25 * traj.gamma[0]:  # gamma/M = 1 - |p|^2
         raise FitError("trajectory is not in the exploding regime (|p| not tending to 1)")
     t_end = float(traj.t[-1])
     lo, hi = 0.1 * t_end, t_end
     mask = traj.t >= lo
     if int(mask.sum()) < 8:
         raise FitError("window too short for the growth fit")
-    hs = np.array(
-        [
-            sobolev_sq_w(traj.b[i], traj.c[i], traj.p[i], s)
-            for i in np.nonzero(mask)[0]
-        ]
-    )
+    hs = np.array([sobolev_sq_w(beta, gamma, traj.momentum, s)
+                   for beta, gamma in zip(traj.beta[mask].tolist(), traj.gamma[mask].tolist())])
     if not np.all(np.isfinite(hs)):
         raise FitError(f"the squared H^{s:g} norm overflows a float in the fit window")
     slope, _ = loglog_fit(traj.t[mask], hs)
@@ -809,13 +726,13 @@ def growth_fit(traj: WTrajectory, constants: AsymptoticConstants, s: float) -> G
     )
 
 
-def classify_w_run(traj: WTrajectory) -> str:
+def classify_w_run(traj: ReducedTrajectory) -> str:
     """Label a rank-one run ``"exploding"`` or ``"bounded"``.
 
-    Exploding runs have 1 - |p|^2 eventually decreasing monotonically toward
-    zero; bounded runs keep |p| away from 1.
+    Exploding runs have 1 - |p|^2 = gamma/M eventually decreasing monotonically
+    toward zero; bounded runs keep |p| away from 1.
     """
-    one_minus = 1.0 - np.abs(traj.p) ** 2
+    one_minus = traj.gamma / traj.momentum
     half = one_minus[one_minus.shape[0] // 2 :]
     decreasing = bool(np.all(np.diff(half) <= 1e-12 * one_minus[0]))
     if decreasing and one_minus[-1] < 0.5 * one_minus[0]:

@@ -6,9 +6,11 @@ are earlier forms of the package's Gram build, H^s sum and band kernel, kept as
 oracles for their rewrites.  ``gram_h`` and ``rhs`` are
 thin wrappers over the package's Gram and band kernels, so the tests built
 on them still exercise the package code; ``delta_rhs`` reads its Q from the
-package's ``_delta_form_q``.  ``w_rhs``, and ``factored_reduced_rhs`` with
-``reference_rk4``, are the per-stage forms of the package's fused RK4 loops,
-the latter in either chart of the reduced loop; ``reduced_rhs`` and
+package's ``_delta_form_q``.  ``w_rhs`` with ``reference_integrate_w`` steps the
+(b, c, p) system, which the package itself only maps to its reduced chart: the
+oracle that chart and the PDE solver are held to.  ``factored_reduced_rhs`` with
+``reference_rk4`` is the per-stage form of the package's fused RK4 loop, in
+either chart of the reduced loop; ``reduced_rhs`` and
 ``delta_rhs`` are the unfactored right-hand sides the factored one is held to,
 themselves equal to the complex formulas.  ``trapezoid_manifold_seed`` is the
 stable manifold's seed from the integral fixed point on a trapezoid grid, the
@@ -23,7 +25,6 @@ from damped_szego.hankel import _gram, eigenvalues, explosion_criterion, gram_k,
 from damped_szego.hardy import HardyState, grid_points
 from damped_szego.solver import _extent, _grid, _rhs_coeffs
 from damped_szego.wmanifold import (
-    ReducedState,
     _delta_form_q,
     asymptotic_constants,
     linearization_matrix,
@@ -53,16 +54,6 @@ def rhs(u: HardyState, alpha: float) -> HardyState:
     out = np.zeros(c.shape[0], dtype=complex)
     out[:b] = _rhs_coeffs(c[:b], alpha, np.empty((3, _grid(b, u.grid_size)), dtype=complex))
     return HardyState(out, u.grid_size)
-
-
-def reduced_from_w(w) -> ReducedState:
-    """(beta, gamma, zeta) = (|b|^2, M(1-|p|^2), M c conj(b) conj(p)) of a WState."""
-    m = w.momentum
-    return ReducedState(
-        beta=abs(w.b) ** 2,
-        gamma=m * (1.0 - abs(w.p) ** 2),
-        zeta=m * w.c * w.b.conjugate() * w.p.conjugate(),
-    )
 
 
 def dft_to_grid_oracle(u: HardyState) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import damped_szego
 from damped_szego.cli import _simulate_overrides, build_parser, main
 from damped_szego.errors import ConfigError
+from damped_szego.fitting import loglog_fit
 from damped_szego.hankel import KSpectrum
 from damped_szego.hardy import HardyState
 from damped_szego.initial_conditions import (
@@ -34,9 +35,9 @@ from damped_szego.presets import (
     run_experiment,
     verify_identities,
 )
-from damped_szego.reporting import csv_table, spectrum_csv
+from damped_szego.reporting import csv_table, json_text, spectrum_csv
 from damped_szego.wmanifold import WState, asymptotic_constants, w_to_hardy
-from helpers import fmt
+from helpers import fmt, reference_integrate_w, reference_sobolev_sq_w
 
 
 # The child interpreter imports the package from where this one found it.
@@ -504,17 +505,83 @@ def test_cli_stable_manifold(tmp_path):
     assert header == "t,beta,delta,re_zeta,im_zeta"
 
 
+def _strict_json(text):
+    """json.loads that rejects the bare NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"bare {token} in JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_floats_as_strings():
+    payload = {"a": math.nan, "b": [np.float64(math.inf), -math.inf], "c": complex(1, math.nan),
+               "d": np.array([1.5, np.nan])}
+    assert _strict_json(json_text(payload)) == {
+        "a": "nan", "b": ["inf", "-inf"], "c": {"re": 1.0, "im": "nan"}, "d": [1.5, "nan"]}
+
+
+def test_non_finite_gate_value_is_strict_json(tmp_path):
+    # the forward round trip overflows at t_start = 100, so its gate value is nan
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--preset", "stable_manifold", "--t-start", "100",
+                   "--out", str(out), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    summary = _strict_json((out / "summary.json").read_text())
+    assert summary["values"]["roundtrip_residual"] == "nan"
+    for name in ("meta.json", "fit.json"):
+        _strict_json((out / name).read_text())
+
+
 def test_cli_wode_trajectory(tmp_path):
     out = tmp_path / "wode"
     proc = run_cli("wode", "--p", "0.5", "--t-end", "2.0", "--dt", "1e-3",
                    "--record-stride", "100", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     lines = (out / "trajectory.csv").read_text().splitlines()
-    assert lines[0] == "t,re_b,im_b,re_c,im_c,re_p,im_p,beta,gamma,momentum"
+    assert lines[0] == "t,beta,gamma,re_zeta,im_zeta"
     first = np.array(lines[1].split(","), dtype=float)
     assert first[0] == 0.0
-    assert first[3] == 1.0  # re_c
-    assert first[9] == pytest.approx(16.0 / 9.0, rel=1e-12)  # momentum
+    assert first[1] == 0.0  # beta = |b|^2
+    assert first[2] == pytest.approx(0.75 * 16.0 / 9.0, rel=1e-12)  # gamma = M(1-|p|^2)
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["momentum"] == pytest.approx(16.0 / 9.0, rel=1e-12)
+
+
+# the wode argv of the benchmark's criterion_rank_one workload, at two phases of p
+_BENCH_WODE = ["wode", "--b=0j", "--c=1+0j", "--alpha=1.0", "--dt=0.001", "--t-end=20.0",
+               "--record-stride=10", "--s=1.0"]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3 + 0.4j])
+def test_wode_payload_matches_the_bcp_reference_run(tmp_path, capsys, p):
+    # the reduced chart against RK4 on (b, c, p) with the H^1 norm summed term by term
+    out = tmp_path / "out"
+    assert main([*_BENCH_WODE, f"--p={p}", "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads((out / "fit.json").read_text()) == payload
+    t, b, c, ps, momentum = reference_integrate_w(WState(0, 1, p), 1.0, 1e-3, 20.0, 10)
+    assert payload["classification"] == "exploding"
+    assert payload["momentum"] == momentum[0]
+    mask = t >= 2.0
+    hs = np.array([reference_sobolev_sq_w(*bcp, 1.0) for bcp in zip(b[mask], c[mask], ps[mask])])
+    slope, _ = loglog_fit(t[mask], hs)
+    prefactor = np.exp(np.mean(np.log(hs) - np.log(t[mask])))
+    (fit,) = payload["fits"]
+    assert fit["window"] == [2.0, 20.0]
+    assert fit["slope"] == pytest.approx(slope, rel=1e-10, abs=0)
+    assert fit["fitted"] == pytest.approx(prefactor, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("c", ["10", "30"])
+def test_wode_step_too_large_for_the_momentum_is_a_blow_up(tmp_path, c):
+    # M = 178 and 1600 at dt = 1e-3: the reduced chart stays finite, but its records leave
+    # |zeta|^2 = (M - gamma) gamma^2 beta; gamma was once reported 7.3e-2 off at --c 10
+    out = tmp_path / "out"
+    proc = run_cli("wode", "--c", c, "--t-end", "2", "--out", str(out), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "a step too large for the state" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "fit.json").exists()
 
 
 def test_cli_wode_overflowing_norm_is_a_runtime_error(tmp_path):
@@ -527,7 +594,6 @@ def test_cli_wode_overflowing_norm_is_a_runtime_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["wode", "--c", "30", "--t-end", "2"],
     ["wode", "--c", "1e3"],
     ["wode", "--c", "1e100"],
     ["simulate", "--preset", "kappa_fit", "--m", "1e3"],

@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import warnings
 
@@ -21,7 +22,6 @@ from damped_szego.wmanifold import (
     ReducedState,
     ReducedTrajectory,
     WState,
-    WTrajectory,
     asymptotic_constants,
     beta_decay_rate,
     classify_w_run,
@@ -29,10 +29,10 @@ from damped_szego.wmanifold import (
     gamma_tail_fit,
     growth_fit,
     integrate_reduced,
-    integrate_w,
     linearization_matrix,
     linearized_q0,
     record_times,
+    require_rank_one,
     sobolev_sq_w,
     stable_manifold_trajectory,
     w_to_hardy,
@@ -41,7 +41,6 @@ from damped_szego.wmanifold import (
     _manifold_terms,
     _record_steps,
     _rk4_reduced,
-    _rk4_w,
 )
 from helpers import (
     complex_delta_rhs,
@@ -50,7 +49,6 @@ from helpers import (
     factored_reduced_rhs,
     finite_diff,
     hs_norm_sq,
-    reduced_from_w,
     reduced_rhs,
     reference_delta_run,
     reference_integrate_reduced,
@@ -157,7 +155,7 @@ def test_reduced_rhs_is_pushforward_of_w_rhs():
         + w.c * np.conj(db) * np.conj(w.p)
         + w.c * np.conj(w.b) * np.conj(dp)
     )
-    r = reduced_from_w(w)
+    r = w.reduced()
     rb, rg, rzr, rzi = reduced_rhs(r.beta, r.gamma, r.zeta.real, r.zeta.imag, alpha, m)
     rz = complex(rzr, rzi)
     scale = max(1.0, m**2)
@@ -168,7 +166,7 @@ def test_reduced_rhs_is_pushforward_of_w_rhs():
     # finite-difference pushforward oracle
     def pulled(tau):
         ws = WState(w.b + tau * db, w.c + tau * dc, w.p + tau * dp)
-        r = reduced_from_w(ws)
+        r = ws.reduced()
         return np.array([r.beta, r.gamma, r.zeta.real, r.zeta.imag])
 
     d1 = (pulled(1e-4) - pulled(-1e-4)) / 2e-4
@@ -179,7 +177,7 @@ def test_reduced_rhs_is_pushforward_of_w_rhs():
 def test_constraint_derivative_vanishes():
     w = WState(0.3, 1.0, 0.5)
     m = w.momentum
-    r = reduced_from_w(w)
+    r = w.reduced()
     db, dg, dzr, dzi = reduced_rhs(r.beta, r.gamma, r.zeta.real, r.zeta.imag, alpha=1.0, m=m)
     dz = complex(dzr, dzi)
     # d/dt [ |zeta|^2 - (M - gamma) gamma^2 beta ] via the chain rule
@@ -252,15 +250,14 @@ def test_factored_rhs_match_unfactored_to_roundoff(beta, gamma, zr, zi, alpha, m
 def test_integrators_reject_bad_steps(kwargs):
     args = {"dt": 1e-3, "t_end": 1.0, "record_stride": 1, **kwargs}
     with pytest.raises(ValueError):
-        integrate_w(WState(0, 1.0, 0.5), 1.0, **args)
-    with pytest.raises(ValueError):
         integrate_reduced(ReducedState(0.0, 1.0, 0j), 1.0, 2.0, **args)
 
 
 def test_non_finite_runs_raise_blow_up_at_last_finite_record():
     # a step far too large for the momentum: the first recorded step is already nan
+    w0 = WState(0, 1e3, 0.5)
     with pytest.raises(BlowUpError) as err:
-        integrate_w(WState(0, 30.0, 0.5), alpha=1.0, dt=1e-3, t_end=2.0, record_stride=10)
+        integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-3, t_end=2.0, record_stride=10)
     assert err.value.t_reached == 0.0
     with pytest.raises(BlowUpError) as err:
         integrate_reduced(ReducedState(0.0, 750.0, 0j), 1.0, 1e3, dt=1e-2, t_end=5.0,
@@ -268,23 +265,57 @@ def test_non_finite_runs_raise_blow_up_at_last_finite_record():
     assert err.value.t_reached in record_times(1e-2, 5.0, 1)
 
 
+@pytest.mark.parametrize("c", [10.0, 30.0])
+def test_steps_too_large_for_the_momentum_leave_the_invariant(c):
+    # the reduced chart stays finite where the (b, c, p) loop blew up at this step; its
+    # records leave |zeta|^2 = (M - gamma) gamma^2 beta instead, here by the first one
+    w0 = WState(0, c, 0.5)
+    traj = integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-3, t_end=2.0,
+                             record_stride=10)
+    assert np.isfinite(traj.gamma).all()
+    with pytest.raises(BlowUpError, match="too large for the state") as err:
+        require_rank_one(traj)
+    assert err.value.t_reached == 0.0
+    # at c = 1 it holds to roundoff
+    w0 = WState(0, 1.0, 0.5)
+    require_rank_one(integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-3, t_end=2.0,
+                                       record_stride=10))
+
+
+@pytest.mark.parametrize("b, c, p, raises", [(10, 1, 0.5, False), (10, 1, 0.9, False),
+                                              (8, 1, 0.9, False), (10, 1.5, 0.9, True)])
+def test_invariant_bound_scales_with_beta(b, c, p, raises):
+    # beta = |b|^2 = 64 or 100 against M = 1.8 to 62: the residual scales with
+    # max(M, beta)^3.  At b = 10, c = 1.5, p = 0.9 gamma ends 9.4e-5 off at this step.
+    w0 = WState(b, c, p)
+    traj = integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-3, t_end=20.0,
+                             record_stride=10)
+    if not raises:
+        require_rank_one(traj)
+        return
+    with pytest.raises(BlowUpError, match=r"M = 62\.3\d*, beta\(0\) = 100\)"):
+        require_rank_one(traj)
+
+
+# The (b, c, p) system itself is stepped by the test oracle reference_integrate_w.
+
 def test_integrate_w_circle_is_steady():
-    traj = integrate_w(WState(0, 1.0, 0), alpha=1.0, dt=1e-3, t_end=5.0, record_stride=100)
-    assert np.max(np.abs(traj.b)) < 1e-12
-    assert np.max(np.abs(traj.p)) < 1e-12
-    assert np.max(np.abs(np.abs(traj.c) - 1.0)) < 1e-12
+    _, b, c, p, _ = reference_integrate_w(WState(0, 1.0, 0), 1.0, 1e-3, 5.0, 100)
+    assert np.max(np.abs(b)) < 1e-12
+    assert np.max(np.abs(p)) < 1e-12
+    assert np.max(np.abs(np.abs(c) - 1.0)) < 1e-12
 
 
 def test_integrate_w_conserves_momentum():
-    traj = integrate_w(WState(0.2, 1.0, 0.4), alpha=1.0, dt=1e-3, t_end=10.0, record_stride=50)
-    drift = np.max(np.abs(traj.momentum - traj.momentum[0])) / traj.momentum[0]
+    *_, momentum = reference_integrate_w(WState(0.2, 1.0, 0.4), 1.0, 1e-3, 10.0, 50)
+    drift = np.max(np.abs(momentum - momentum[0])) / momentum[0]
     assert drift < 1e-10
 
 
 def test_integrate_w_matches_pde_solver():
     w0 = WState(0, 1.0, 0.5)
-    traj = integrate_w(w0, alpha=1.0, dt=1e-4, t_end=1.0, record_stride=10000)
-    u_ode = w_to_hardy(traj.state(-1), 256)
+    _, b, c, p, _ = reference_integrate_w(w0, 1.0, 1e-4, 1.0, 10000)
+    u_ode = w_to_hardy(WState(b[-1], c[-1], p[-1]), 256)
     cfg = SolverConfig(alpha=1.0, dt=2.5e-4, t_end=1.0, grid_size=256, record_stride=4000)
     u_pde = evolve(w_to_hardy(w0, 256), cfg).u_final
     diff = np.sqrt(np.sum(np.abs(u_ode.coeffs - u_pde.coeffs) ** 2))
@@ -292,9 +323,12 @@ def test_integrate_w_matches_pde_solver():
 
 
 def test_integrate_w_baby_l2_dips_below_momentum_level():
-    traj = integrate_w(WState(0.1, 1.0, 0), alpha=1.0, dt=1e-3, t_end=20.0, record_stride=20)
-    assert traj.l2_sq[0] == pytest.approx(1.01, rel=1e-12)
-    assert traj.l2_sq.min() < 1.0
+    w0 = WState(0.1, 1.0, 0)
+    traj = integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-3, t_end=20.0,
+                             record_stride=20)
+    l2_sq = traj.beta + traj.gamma
+    assert l2_sq[0] == pytest.approx(1.01, rel=1e-12)
+    assert l2_sq.min() < 1.0
 
 
 def test_integrate_w_gauge_covariance():
@@ -302,22 +336,24 @@ def test_integrate_w_gauge_covariance():
     rot = np.exp(1j * theta)
     w0 = WState(0.1 + 0.05j, 1.0, 0.3)
     w0r = WState(w0.b * rot, w0.c * rot, w0.p)
-    t1 = integrate_w(w0, alpha=1.0, dt=1e-3, t_end=2.0, record_stride=100)
-    t2 = integrate_w(w0r, alpha=1.0, dt=1e-3, t_end=2.0, record_stride=100)
-    assert np.max(np.abs(t2.b - rot * t1.b)) < 1e-10
-    assert np.max(np.abs(t2.c - rot * t1.c)) < 1e-10
-    assert np.max(np.abs(t2.p - t1.p)) < 1e-10
+    _, b1, c1, p1, _ = reference_integrate_w(w0, 1.0, 1e-3, 2.0, 100)
+    _, b2, c2, p2, _ = reference_integrate_w(w0r, 1.0, 1e-3, 2.0, 100)
+    assert np.max(np.abs(b2 - rot * b1)) < 1e-10
+    assert np.max(np.abs(c2 - rot * c1)) < 1e-10
+    assert np.max(np.abs(p2 - p1)) < 1e-10
 
 
 def test_classification_and_dichotomy():
+    def run(w0, dt):
+        return integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=dt, t_end=10.0,
+                                 record_stride=100)
+
     for dt in (1e-3, 5e-4):
-        exploding = integrate_w(WState(0, 1.0, 0.5), alpha=1.0, dt=dt, t_end=10.0,
-                                record_stride=100)
+        exploding = run(WState(0, 1.0, 0.5), dt)
         assert classify_w_run(exploding) == "exploding"
-        circle = integrate_w(WState(0, 1.0, 0), alpha=1.0, dt=dt, t_end=10.0,
-                             record_stride=100)
+        circle = run(WState(0, 1.0, 0), dt)
         assert classify_w_run(circle) == "bounded"
-        assert circle.l2_sq[0] >= circle.momentum[0] - 1e-9
+        assert circle.beta[0] + circle.gamma[0] >= circle.momentum - 1e-9
 
 
 @settings(max_examples=10, deadline=None)
@@ -342,27 +378,27 @@ def test_explodes_strict_rank_one_states_explode(b, c, p):
         consts = asymptotic_constants(1.0, m)
         escape = np.log(m / (summary["f_value"] - summary["l2_sq"])) / (consts.a - 1.0)
         t_end = max(50.0, escape + 4.0 * consts.kappa / (m * (1.0 - abs(p) ** 2)))
-        traj = integrate_w(w0, 1.0, dt=2e-3, t_end=t_end,
-                           record_stride=max(1, round(t_end / 2e-3 / 1000)))
+        traj = integrate_reduced(w0.reduced(), 1.0, m, dt=2e-3, t_end=t_end,
+                                 record_stride=max(1, round(t_end / 2e-3 / 1000)))
         assert classify_w_run(traj) == "exploding"
 
 
 def test_reduced_integration_consistent_with_w_pushforward():
     w0 = WState(0.2, 1.0, 0.3)
     alpha, m = 1.0, w0.momentum
-    wtraj = integrate_w(w0, alpha, dt=1e-3, t_end=10.0, record_stride=100)
-    rtraj = integrate_reduced(reduced_from_w(w0), alpha, m, dt=1e-3, t_end=10.0,
+    _, b, c, p, momentum = reference_integrate_w(w0, alpha, 1e-3, 10.0, 100)
+    rtraj = integrate_reduced(w0.reduced(), alpha, m, dt=1e-3, t_end=10.0,
                               record_stride=100)
-    zeta_w = wtraj.momentum * wtraj.c * np.conj(wtraj.b) * np.conj(wtraj.p)
-    assert np.max(np.abs(wtraj.beta - rtraj.beta)) < 1e-7
-    assert np.max(np.abs(wtraj.gamma - rtraj.gamma)) < 1e-7
+    zeta_w = momentum * c * np.conj(b) * np.conj(p)
+    assert np.max(np.abs(np.abs(b) ** 2 - rtraj.beta)) < 1e-7
+    assert np.max(np.abs(momentum * (1.0 - np.abs(p) ** 2) - rtraj.gamma)) < 1e-7
     assert np.max(np.abs(zeta_w - rtraj.zeta)) < 1e-7
 
 
 def test_reduced_integration_preserves_constraint():
     w0 = WState(0.2, 1.0, 0.3)
     m = w0.momentum
-    traj = integrate_reduced(reduced_from_w(w0), 1.0, m, dt=1e-3, t_end=10.0, record_stride=100)
+    traj = integrate_reduced(w0.reduced(), 1.0, m, dt=1e-3, t_end=10.0, record_stride=100)
     resid = np.abs(np.abs(traj.zeta) ** 2 - (m - traj.gamma) * traj.gamma**2 * traj.beta)
     assert resid.max() < 1e-8 * m**3
 
@@ -374,14 +410,6 @@ W_STATES = [
 ]
 
 
-@pytest.mark.parametrize("w0", W_STATES)
-def test_integrate_w_matches_reference_bitwise(w0):
-    traj = integrate_w(w0, 1.0, dt=1e-3, t_end=2.0, record_stride=7)
-    ref = reference_integrate_w(w0, 1.0, 1e-3, 2.0, 7)
-    for got, want in zip((traj.t, traj.b, traj.c, traj.p, traj.momentum), ref):
-        assert np.array_equal(got, want)
-
-
 def _roundoff_close(got, want):
     """|got - want| <= 1e-12 max(1, max |want|): the factored loops against the complex formula."""
     return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -389,7 +417,7 @@ def _roundoff_close(got, want):
 
 @pytest.mark.parametrize("w0", W_STATES)
 def test_integrate_reduced_matches_reference_to_roundoff(w0):
-    r0, m = reduced_from_w(w0), w0.momentum
+    r0, m = w0.reduced(), w0.momentum
     traj = integrate_reduced(r0, 1.0, m, dt=1e-3, t_end=2.0, record_stride=7)
     ref = reference_integrate_reduced(r0, 1.0, m, 1e-3, 2.0, 7)
     assert np.array_equal(traj.t, ref[0])
@@ -432,20 +460,6 @@ def test_fused_real_loops_equal_references_bitwise(n_steps, stride, beta, gamma,
         _, rb, rg, rz = reference_integrate_reduced(
             ReducedState(beta, g0 + gamma, complex(zr, zi)), alpha, m, dt, n_steps * dt, stride)
         assert _roundoff_close(got, np.column_stack([rb, rg - g0, rz.real, rz.imag]))
-
-
-@pytest.mark.parametrize("n_steps, stride", RUN_SHAPES)
-@settings(max_examples=20, deadline=None)
-@given(b=st.complex_numbers(max_magnitude=1.0),
-       c=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
-       p=st.complex_numbers(max_magnitude=0.7), alpha=st.floats(0.0, 2.0),
-       dt=st.floats(1e-3, 0.02), backward=st.booleans())
-def test_fused_w_loop_equals_reference_bitwise(n_steps, stride, b, c, p, alpha, dt, backward):
-    dt = -dt if backward else dt
-    w0 = WState(b, c, p)
-    got = _rk4_w((w0.b, w0.c, w0.p), dt, _record_steps(n_steps, stride), alpha)
-    _, rb, rc, rp, _ = reference_integrate_w(w0, alpha, dt, n_steps * dt, stride)
-    assert got.tobytes() == np.column_stack([rb, rc, rp]).tobytes()
 
 
 @pytest.mark.parametrize("n_steps, stride", RUN_SHAPES)
@@ -540,10 +554,9 @@ def _python_calls(run):
 
 def test_rank_one_loops_make_no_python_call_per_step():
     # doubling the steps at the same record count must not add a call
-    r0, w0 = ReducedState(0.0, 1.5, 0j), W_STATES[2]
+    r0 = ReducedState(0.0, 1.5, 0j)
     runs = [
         lambda n: integrate_reduced(r0, 1.0, 2.0, 1e-3, n * 1e-3, record_stride=n // 10),
-        lambda n: integrate_w(w0, 1.0, 1e-3, n * 1e-3, record_stride=n // 10),
         # the stable manifold's chart: x = -delta at g0 = M
         lambda n: _rk4_reduced((0.01, -0.005, 0.0, -0.001), -1e-3, _record_steps(n, n // 10),
                                1.0, 2.0, 2.0),
@@ -562,15 +575,16 @@ def test_rank_one_loops_make_no_python_call_per_step():
 
 @pytest.mark.parametrize("system", ["w", "reduced", "delta"])
 def test_ode_rk4_halving_dt_gains_factor_16(system):
+    # "w" is the test oracle reference_integrate_w, which criterion 06 holds the PDE to
     w0 = W_STATES[2]
     m = w0.momentum
-    r0 = reduced_from_w(w0)
+    r0 = w0.reduced()
     t_end = 2.0
 
     def final(dt):
         if system == "w":
-            traj = integrate_w(w0, 1.0, dt, t_end, record_stride=10**9)
-            return np.array([traj.b[-1], traj.c[-1], traj.p[-1]])
+            _, b, c, p, _ = reference_integrate_w(w0, 1.0, dt, t_end, 10**9)
+            return np.array([b[-1], c[-1], p[-1]])
         if system == "delta":
             x0 = (r0.beta, r0.gamma - m, r0.zeta.real, r0.zeta.imag)  # x = -delta
             return _rk4_reduced(x0, dt, [0, round(t_end / dt)], 1.0, m, m)[-1]
@@ -596,13 +610,14 @@ def test_ode_invariants_on_random_states(b, m, phase, r, arg, alpha):
     # c is chosen so that the momentum is m
     p = r * np.exp(1j * arg)
     w0 = WState(b, np.sqrt(m) * (1.0 - r * r) * np.exp(1j * phase), p)
-    traj = integrate_w(w0, alpha, dt=5e-4, t_end=2.0, record_stride=200)
-    assert np.max(np.abs(traj.momentum - w0.momentum)) < 1e-10 * w0.momentum
-    assert np.all(np.diff(traj.l2_sq) <= 1e-12 * traj.l2_sq[0])
+    _, bs, cs, ps, momentum = reference_integrate_w(w0, alpha, 5e-4, 2.0, 200)
+    assert np.max(np.abs(momentum - w0.momentum)) < 1e-10 * w0.momentum
+    l2_sq = np.abs(bs) ** 2 + momentum * (1.0 - np.abs(ps) ** 2)
+    assert np.all(np.diff(l2_sq) <= 1e-12 * l2_sq[0])
 
-    rtraj = integrate_reduced(reduced_from_w(w0), alpha, w0.momentum, dt=5e-4, t_end=2.0,
+    rtraj = integrate_reduced(w0.reduced(), alpha, w0.momentum, dt=5e-4, t_end=2.0,
                               record_stride=200)
-    pushed = [reduced_from_w(traj.state(i)) for i in range(len(traj.t))]
+    pushed = [WState(*bcp).reduced() for bcp in zip(bs, cs, ps)]
     scale = max(1.0, w0.momentum) ** 3
     assert np.max(np.abs(rtraj.beta - [r.beta for r in pushed])) < 1e-9 * scale
     assert np.max(np.abs(rtraj.gamma - [r.gamma for r in pushed])) < 1e-9 * scale
@@ -811,11 +826,18 @@ def test_stable_manifold_rejects_bad_window():
 
 # --- Sobolev growth ----------------------------------------------------------
 
+def _sobolev_sq_bcp(b, c, p, s):
+    """sobolev_sq_w of the (b, c, p) state, through its reduced chart."""
+    w = WState(b, c, p)
+    r = w.reduced()
+    return sobolev_sq_w(r.beta, r.gamma, w.momentum, s)
+
+
 def test_sobolev_sq_w_matches_coefficient_sum():
     w = WState(0.3, 1.0, 0.6)
     u = w_to_hardy(w, 2048)
     for s in (0.75, 1.0, 2.0):
-        assert sobolev_sq_w(w.b, w.c, w.p, s) == pytest.approx(
+        assert _sobolev_sq_bcp(w.b, w.c, w.p, s) == pytest.approx(
             hs_norm_sq(u, s), rel=1e-12
         )
 
@@ -825,32 +847,42 @@ def test_sobolev_sq_w_closed_form_matches_reference_sum(r):
     b, c = 0.3 - 0.2j, 1.1 + 0.4j
     p = np.sqrt(r) * np.exp(0.7j)
     want = reference_sobolev_sq_w(b, c, p, 1.0)
-    assert abs(sobolev_sq_w(b, c, p, 1.0) - want) <= 1e-12 * want
+    assert abs(_sobolev_sq_bcp(b, c, p, 1.0) - want) <= 1e-12 * want
     for s in (0.75, 1.5, 2.0, 3.0):
         want = reference_sobolev_sq_w(b, c, p, s)
-        assert abs(sobolev_sq_w(b, c, p, s) - want) <= 1e-12 * want
+        assert abs(_sobolev_sq_bcp(b, c, p, s) - want) <= 1e-12 * want
 
 
 def test_sobolev_sq_w_forms_no_inf_times_zero():
-    # From k = 4 on, (1+k^2)^300 overflows where |p|^{2(k-1)} underflows; a sum of
-    # their products meets inf * 0 = nan and never stops.  The norm itself is 2^300.
+    # r = |p|^2 = 1 - gamma/M = 2^-53, the least nonzero r the chart gives at M = 1: from
+    # k = 22 on (1+k^2)^120 overflows where r^(k-1) underflows, and a sum of their
+    # products meets inf * 0 = nan.  The norm, about e^250, is summed in log space here.
+    s, gamma = 120.0, 1.0 - 2.0**-53
+    logs = [s * math.log(1.0 + k * k) - 53.0 * math.log(2.0) * (k - 1) for k in range(1, 400)]
+    top = max(logs)
+    want = gamma**2 * math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert sobolev_sq_w(0.0, 1.0, 1e-150, 300.0) == pytest.approx(2.0**300, rel=1e-12)
+        got = sobolev_sq_w(0.0, gamma, 1.0, s)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+        # r = 0 (|p|^2 = 1e-300 rounds gamma to M): only the k = 1 term, 2^300
+        assert _sobolev_sq_bcp(0.0, 1.0, 1e-150, 300.0) == pytest.approx(2.0**300, rel=1e-12)
         # beyond the float range
-        assert sobolev_sq_w(0.1, 1.0, 0.999, 100.0) == np.inf
-        assert sobolev_sq_w(0.1, 1.0, 0.0, 2000.0) == np.inf
+        assert _sobolev_sq_bcp(0.1, 1.0, 0.999, 100.0) == np.inf
+        assert _sobolev_sq_bcp(0.1, 1.0, 0.0, 2000.0) == np.inf
 
 
 def test_sobolev_sq_w_sum_is_bounded(monkeypatch):
     monkeypatch.setattr(wmanifold, "_MAX_SUM_TERMS", 4096)
     with pytest.raises(FitError, match="not converged in 4096 terms"):
-        sobolev_sq_w(0.0, 1.0, 0.9999, 2.0)
+        _sobolev_sq_bcp(0.0, 1.0, 0.9999, 2.0)
 
 
 def test_growth_fit_rejects_an_overflowing_norm():
     w0 = WState(0, 1.0, 0.5)
-    traj = integrate_w(w0, 1.0, dt=1e-2, t_end=50.0, record_stride=10)
+    traj = integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-2, t_end=50.0,
+                             record_stride=10)
     consts = asymptotic_constants(1.0, w0.momentum)
     with pytest.raises(FitError, match="overflows a float"):
         growth_fit(traj, consts, s=100.0)
@@ -886,12 +918,8 @@ def test_growth_fit_on_planted_asymptotic_profile():
     alpha, m = 1.0, 16.0 / 9.0
     c = asymptotic_constants(alpha, m)
     t = np.linspace(50.0, 500.0, 800)
-    gamma = c.kappa / t
-    p = np.sqrt(1.0 - gamma / m)
-    amp = np.sqrt(m) * (1.0 - p**2)
-    traj = WTrajectory(t=t, b=np.zeros_like(t, dtype=complex),
-                       c=amp.astype(complex), p=p.astype(complex),
-                       momentum=np.full_like(t, m))
+    traj = ReducedTrajectory(t=t, beta=np.zeros_like(t), gamma=c.kappa / t,
+                             zeta=np.zeros_like(t, dtype=complex), momentum=m)
     report = growth_fit(traj, c, s=1.0)
     assert abs(report.fitted_slope - 1.0) < 0.02
     assert report.prefactor_rel_dev < 0.02
@@ -899,10 +927,8 @@ def test_growth_fit_on_planted_asymptotic_profile():
 
 def test_growth_fit_rejects_circle():
     t = np.linspace(0.0, 20.0, 100)
-    traj = WTrajectory(t=t, b=np.zeros_like(t, dtype=complex),
-                       c=np.ones_like(t, dtype=complex),
-                       p=np.zeros_like(t, dtype=complex),
-                       momentum=np.ones_like(t))
+    traj = ReducedTrajectory(t=t, beta=np.zeros_like(t), gamma=np.ones_like(t),
+                             zeta=np.zeros_like(t, dtype=complex), momentum=1.0)
     with pytest.raises(FitError):
         growth_fit(traj, asymptotic_constants(1.0, 1.0), s=1.0)
 
@@ -912,7 +938,8 @@ def test_growth_fit_single_pole_run():
     w0 = WState(0, 1.0, 0.5)
     alpha = 1.0
     consts = asymptotic_constants(alpha, w0.momentum)
-    traj = integrate_w(w0, alpha, dt=2e-3, t_end=500.0, record_stride=200)
+    traj = integrate_reduced(w0.reduced(), alpha, w0.momentum, dt=2e-3, t_end=500.0,
+                             record_stride=200)
     report = growth_fit(traj, consts, s=1.0)
     assert report.slope_rel_dev < 0.05
     assert report.prefactor_rel_dev < 0.10
@@ -924,18 +951,14 @@ def test_linear_slope_single_pole_run_matches_prediction():
 
     w0 = WState(0, 1.0, 0.5)
     consts = asymptotic_constants(1.0, w0.momentum)
-    traj = integrate_w(w0, 1.0, dt=1e-3, t_end=20.0, record_stride=20)
+    traj = integrate_reduced(w0.reduced(), 1.0, w0.momentum, dt=1e-3, t_end=20.0,
+                             record_stride=20)
     hs = np.array([
-        sobolev_sq_w(traj.b[i], traj.c[i], traj.p[i], 1.0) for i in range(len(traj.t))
+        sobolev_sq_w(beta, gamma, traj.momentum, 1.0)
+        for beta, gamma in zip(traj.beta, traj.gamma)
     ])
     mask = traj.t >= 10.0
     slope, _ = linear_fit(traj.t[mask], hs[mask])
     target = consts.growth_coeff(1.0)
     assert abs(slope - target) < 0.05 * target
 
-
-def test_integrate_w_warns_near_unit_pole():
-    p = 1.0 - 4e-7
-    w0 = WState(0, (1.0 - p**2), p)  # momentum 1, parameterisation nearly exhausted
-    with pytest.warns(RuntimeWarning):
-        integrate_w(w0, alpha=1.0, dt=1e-4, t_end=1e-3, record_stride=1)
