@@ -27,6 +27,7 @@ from .presets import (
     verify_identities,
 )
 from .reporting import json_text, reduced_trajectory_csv, write_files
+from .solver import MAX_RECORDS, grid_size
 from .wmanifold import (
     WState,
     asymptotic_constants,
@@ -120,11 +121,12 @@ def _momentum_finite(c, p) -> bool:
 
 
 def _cmd_wode(args):
+    records = grid_size(args.dt, args.t_end, args.record_stride)[1]
     require({
         "dt": (0 < args.dt < math.inf, "dt must be positive and finite"),
-        "t_end": (0 < args.t_end < math.inf
-                  and not (args.dt > 0 and args.t_end / args.dt > sys.maxsize),
-                  "t_end must be positive and finite, with at most sys.maxsize steps of dt"),
+        "t_end": (0 < args.t_end < math.inf and not records > MAX_RECORDS,
+                  f"t_end must be positive and finite, with at most sys.maxsize steps of dt "
+                  f"and {MAX_RECORDS} records"),
         "record_stride": (args.record_stride > 0, "record_stride must be positive"),
         "alpha": (0 <= args.alpha < math.inf, "alpha must be finite and >= 0"),
         "s": (0.5 < args.s < math.inf,
@@ -144,7 +146,7 @@ def _cmd_wode(args):
     label = classify_w_run(traj)
     payload = {"classification": label, "momentum": m}
     fits = []
-    if label == "exploding":
+    if label == "exploding":  # growth_fit refuses every run the label reads bounded
         consts = asymptotic_constants(args.alpha, m)
         report = growth_fit(traj, consts, args.s)
         fits.append({"name": f"hs_sq_growth_s_{args.s:.2f}",

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass
@@ -22,7 +21,15 @@ from .reporting import (
     stable_trajectory_csv,
     write_files,
 )
-from .solver import SolverConfig, check_lyapunov, evolve
+from .solver import (
+    MAX_RECORDS,
+    SolverConfig,
+    check_lyapunov,
+    evolve,
+    grid_size,
+    later_times,
+    run_grid,
+)
 from .wmanifold import (
     BACKWARD_STEP,
     MIN_TAIL_SAMPLES,
@@ -34,7 +41,6 @@ from .wmanifold import (
     integrate_reduced,
     linearization_matrix,
     linearized_q0,
-    record_times,
     stable_manifold_short_window,
     stable_manifold_t_max,
     stable_manifold_t_start,
@@ -92,19 +98,16 @@ class ExperimentConfig:
     t_end_back: float = 0.0
     ode_dt: float = 1e-2  # read by kappa_fit only
 
-    def later_snapshots(self):
-        """The snapshot times in (0, t_end]."""
-        return tuple(t for t in self.snapshot_times if 0 < t <= self.t_end + 1e-12)
-
     def validate(self):
         row = _PRESETS.get(self.preset, Preset(None, {}))
         reads_m = row.closed_form and row.run is not _run_pde
-        # The step the preset's run takes, if it takes one.
-        step = {_run_pde: self.dt, _run_kappa: self.ode_dt}.get(row.run, math.nan)
-        steps = self.t_end / step if step > 0 else math.nan
-        # check_lyapunov needs three records: u(0), the one at record_stride and the last.
-        pde_too_short = (row.run is _run_pde
-                         and math.isfinite(steps) and round(steps) <= self.record_stride)
+        # The records of the preset's run (see grid_size); check_lyapunov needs three:
+        # u(0), the one at record_stride and the last.  The stable manifold's backward run
+        # has no record bound: it stops where its orbit leaves the float range.
+        kappa_stride = grid_size(self.ode_dt, _KAPPA_RECORD_SPAN)[0]
+        step, stride = {_run_pde: (self.dt, self.record_stride),
+                        _run_kappa: (self.ode_dt, kappa_stride)}.get(row.run, (math.nan, 1))
+        records = grid_size(step, self.t_end, stride)[1]
         # The stable manifold steps back from t_start (given or by default, at most t_max)
         # to t_end_back and fits two windows that end at t_start.
         t_start, t_max, back_steps, short = self.t_start, math.inf, math.nan, None
@@ -113,8 +116,8 @@ class ExperimentConfig:
             t_max = stable_manifold_t_max(self.beta_inf, self.alpha, self.m)
             if t_start is None:
                 t_start = stable_manifold_t_start(self.beta_inf, self.alpha, self.m)
-            back_steps = (t_start - self.t_end_back) / BACKWARD_STEP
-            if 0 < t_start <= t_max and 0 < back_steps <= sys.maxsize:
+            back_steps = grid_size(BACKWARD_STEP, t_start - self.t_end_back)[0]
+            if 0 < t_start <= t_max and back_steps < math.inf:
                 short = stable_manifold_short_window(t_start, self.t_end_back)
         require({
             "preset": (self.preset in _PRESETS, f"unknown preset {self.preset!r}"),
@@ -128,10 +131,11 @@ class ExperimentConfig:
             "gamma0": (self.gamma0 is None or 0 < self.gamma0 <= self.m,
                        "gamma0 must lie in (0, m]"),
             "dt": (0 < self.dt < math.inf, "dt must be positive and finite"),
-            "t_end": (0 < self.t_end < math.inf and not pde_too_short
-                      and not steps > sys.maxsize,
-                      "t_end must be positive and finite, give at most sys.maxsize steps and, "
-                      "for a PDE preset, more than record_stride steps of dt"),
+            "t_end": (0 < self.t_end < math.inf and not records > MAX_RECORDS
+                      and not (row.run is _run_pde and records < 3),
+                      f"t_end must be positive and finite, give at most sys.maxsize steps and "
+                      f"{MAX_RECORDS} records and, for a PDE preset, more than record_stride "
+                      f"steps of dt"),
             "ode_dt": (0 < self.ode_dt < math.inf, "ode_dt must be positive and finite"),
             "n": (self.grid_size > 0 and self.grid_size % 2 == 0, "n must be even and positive"),
             "record_stride": (self.record_stride >= 1, "record_stride must be >= 1"),
@@ -146,14 +150,17 @@ class ExperimentConfig:
                         else short),
             "t_end_back": (math.isfinite(self.t_end_back)
                            and (t_start is None or self.t_end_back < t_start)
-                           and not back_steps > sys.maxsize,
+                           and back_steps != math.inf,
                            "t_end_back must be finite, below t_start (by default max(log("
                            "beta_inf / (1e-6 m)) / (a + alpha), 1)) by at most sys.maxsize steps"),
             # The K_u^2 invariance gate compares u(0) with the later snapshots only.
             "snapshot_times": (all(0 <= t < math.inf for t in self.snapshot_times)
-                               and (not row.needs_snapshot or self.later_snapshots()),
+                               and (not row.needs_snapshot
+                                    or records <= MAX_RECORDS
+                                    and later_times(self.snapshot_times, self.dt, self.t_end)),
                                "snapshot times must be finite and >= 0"
-                               + (f"; {self.preset} needs one in (0, t_end]"
+                               + (f"; {self.preset} needs one in (0, t_end], t_end rounded "
+                                  f"to a whole number of steps of dt"
                                   if row.needs_snapshot else "")),
         })
         return self
@@ -297,7 +304,8 @@ def _run_pde(cfg: ExperimentConfig):
     solver_cfg = SolverConfig(alpha=cfg.alpha, dt=cfg.dt, t_end=cfg.t_end,
                               grid_size=cfg.grid_size, krasny_threshold=cfg.krasny_threshold,
                               record_stride=cfg.record_stride)
-    result = evolve(u0, solver_cfg, snapshot_times=cfg.later_snapshots())
+    result = evolve(u0, solver_cfg,
+                    snapshot_times=later_times(cfg.snapshot_times, cfg.dt, cfg.t_end))
     series = result.diagnostics
 
     spec, verdict, summary = spectrum_report(u0, size=cfg.spectrum_size)
@@ -388,12 +396,17 @@ def _baby_gates(run):
             [_fit_entry("linearized_growth_rate", target, rate, (lo, hi))])
 
 
+# kappa_fit records its reduced run once per this span of t.
+_KAPPA_RECORD_SPAN = 0.1
+
+
 def _run_kappa(cfg: ExperimentConfig):
     gamma0 = cfg.gamma0 if cfg.gamma0 is not None else 0.75 * cfg.m
     r0 = ReducedState(beta=0.0, gamma=gamma0, zeta=0j)
-    stride = max(1, int(round(0.1 / cfg.ode_dt)))
+    stride = run_grid(cfg.ode_dt, _KAPPA_RECORD_SPAN)[0]
     window = (0.5 * cfg.t_end, cfg.t_end)
-    t = record_times(cfg.ode_dt, cfg.t_end, stride)
+    n, recorded = run_grid(cfg.ode_dt, cfg.t_end, stride)
+    t = np.array([*recorded, n]) * cfg.ode_dt
     samples = int(np.count_nonzero((t >= window[0]) & (t <= window[1])))
     require({"t_end": (samples >= MIN_TAIL_SAMPLES,
                        f"t_end = {cfg.t_end:g} leaves {samples} records in the fit window "

@@ -7,6 +7,8 @@ step sizes that grid to the band of live modes, which keeps it alias-free.
 The damping acts on the zero mode only.
 """
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +21,9 @@ __all__ = [
     "SolverConfig",
     "DiagnosticsSeries",
     "SolverResult",
+    "run_grid",
+    "grid_size",
+    "later_times",
     "rk4_step",
     "evolve",
     "check_lyapunov",
@@ -28,6 +33,42 @@ __all__ = [
 # anything this large is integrator overflow in progress.
 _L2_ABORT = 1e12
 _RESOLUTION_RATIO = 1e-8
+
+# The most records a run keeps: at 100-200 bytes each across the lists and arrays a run
+# builds, 2^24 records take a few GB, and no fit or gate reads more than a few thousand.
+MAX_RECORDS = 1 << 24
+
+
+def run_grid(dt, t_end, stride=1):
+    """Step count n of a run of ``t_end`` at step ``dt`` and the steps it records before
+    the last, ``range(0, n, stride)``; step n is always recorded.  Raises
+    :class:`ValueError` unless dt, t_end and stride are positive, and
+    :class:`OverflowError` past sys.maxsize steps or stride."""
+    if not (dt > 0 and t_end > 0 and stride >= 1):
+        raise ValueError("dt, t_end and record_stride must be positive")
+    if not (t_end / dt <= sys.maxsize and stride <= sys.maxsize):
+        raise OverflowError("a run takes at most sys.maxsize steps")
+    n = max(1, int(round(t_end / dt)))
+    return n, range(0, n, stride)
+
+
+def grid_size(dt, t_end, stride=1):
+    """Steps and records of :func:`run_grid`: nan where it raises ValueError, inf where
+    it raises OverflowError."""
+    try:
+        n, recorded = run_grid(dt, t_end, stride)
+    except ValueError:
+        return math.nan, math.nan
+    except OverflowError:
+        return math.inf, math.inf
+    return n, len(recorded) + 1
+
+
+def later_times(times, dt, t_end):
+    """The snapshot times a run of ``t_end`` at ``dt`` takes after u(0): those in (0, n dt],
+    n dt its last step's time, widened by 1e-12 of itself for roundoff in the step count."""
+    end = run_grid(dt, t_end)[0] * dt * (1 + 1e-12)
+    return tuple(t for t in times if 0 < t <= end)
 
 
 @dataclass(frozen=True)
@@ -44,18 +85,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        run_grid(self.dt, self.t_end, self.record_stride)  # raises unless they make a run
         if self.grid_size <= 0 or self.grid_size % 2 != 0:
             raise ValueError("grid_size must be even and positive")
         if not 0 <= self.krasny_threshold < 1:
             raise ValueError("krasny_threshold must lie in [0, 1)")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return run_grid(self.dt, self.t_end)[0]
 
 
 @dataclass
@@ -181,27 +219,26 @@ def rk4_step(u: HardyState, alpha: float, dt: float, krasny_threshold: float = 0
 
 
 def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult:
-    """Integrate to ``cfg.t_end`` recording diagnostics every ``record_stride`` steps.
+    """Integrate to ``cfg.t_end`` recording diagnostics at the steps of :func:`run_grid`.
 
     Snapshots of the full state are taken at the steps nearest the requested
-    times.  Raises :class:`BlowUpError` on overflow; flags resolution loss
-    when the last retained mode stops being negligible.
+    times, 0 or those :func:`later_times` keeps.  Raises :class:`BlowUpError` on
+    overflow; flags resolution loss when the last retained mode stops being negligible.
     """
     if u0.grid_size != cfg.grid_size:
         raise ValueError(f"initial state has grid_size {u0.grid_size}, config says {cfg.grid_size}")
 
     n = cfg.grid_size
-    n_steps = cfg.n_steps
     dt = cfg.dt
+    n_steps, recorded = run_grid(dt, cfg.t_end, cfg.record_stride)
     c = u0.coeffs.astype(complex).copy()
     kk = np.arange(c.shape[0], dtype=float)
     h1_weight = 1.0 + kk * kk
 
-    snap_steps = {}
-    for ts in snapshot_times:
-        if ts < 0 or ts > n_steps * dt * (1 + 1e-12):
-            raise ValueError(f"snapshot time {ts} outside [0, t_end]")
-        snap_steps.setdefault(int(round(ts / dt)), []).append(ts)
+    later = later_times(snapshot_times, dt, cfg.t_end)
+    if any(ts != 0 and ts not in later for ts in snapshot_times):
+        raise ValueError(f"snapshot times {snapshot_times} reach outside [0, {n_steps * dt!r}]")
+    snap_steps = {int(round(ts / dt)) for ts in snapshot_times}
 
     rows_t, rows_l2, rows_mom, rows_u0, rows_h1 = [], [], [], [], []
     snapshots = []
@@ -239,7 +276,7 @@ def evolve(u0: HardyState, cfg: SolverConfig, snapshot_times=()) -> SolverResult
             raise BlowUpError(i * dt)
         if i in snap_steps:
             snapshots.append((i * dt, HardyState(c, n)))
-        if i % cfg.record_stride == 0 or i == n_steps:
+        if i in recorded or i == n_steps:
             record(i, np.abs(c))
 
     series = DiagnosticsSeries(

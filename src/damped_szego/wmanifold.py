@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BlowUpError, FitError, FixedPointDivergenceError, NotInManifoldError
 from .fitting import linear_fit, loglog_fit
 from .hardy import HardyState
+from .solver import run_grid
 
 __all__ = [
     "WState",
@@ -28,7 +29,6 @@ __all__ = [
     "w_to_hardy",
     "integrate_reduced",
     "require_rank_one",
-    "record_times",
     "asymptotic_constants",
     "gamma_tail_fit",
     "linearized_q0",
@@ -152,11 +152,6 @@ class ReducedTrajectory:
     sweeps: int = 0  # parareal sweeps of the windowed path; 0 on the sequential loop
 
 
-def _record_steps(n_steps, stride):
-    """The steps a run records: every ``stride``-th and the last."""
-    return [*range(0, n_steps, stride), n_steps]
-
-
 def _rk4_reduced(y0, dt, steps, alpha, m, g0=0.0):
     """RK4 on the gauge-reduced (beta, gamma, Re zeta, Im zeta) system at momentum m,
     carrying x = gamma - g0: g0 = 0 for kappa_fit, g0 = M (x = -delta) for the stable manifold.
@@ -245,12 +240,6 @@ def _complex_column(re, im):
     return z
 
 
-def _n_steps(dt, t_end, stride):
-    if dt <= 0 or t_end <= 0 or stride < 1:
-        raise ValueError("dt, t_end and record_stride must be positive")
-    return max(1, int(round(t_end / dt)))
-
-
 def _require_finite(ts, rows):
     """Raise :class:`BlowUpError`, carrying the time of the last finite record, if a
     recorded row is not finite."""
@@ -284,11 +273,6 @@ def require_rank_one(traj: ReducedTrajectory):
                           f"the records leave |zeta|^2 = (M - gamma) gamma^2 beta at "
                           f"t={traj.t[bad]:.6g}: a step too large for the state "
                           f"(M = {m:.6g}, beta(0) = {beta[0]:.6g})")
-
-
-def record_times(dt: float, t_end: float, record_stride: int = 1) -> np.ndarray:
-    """The times :func:`integrate_reduced` records at."""
-    return np.array(_record_steps(_n_steps(dt, t_end, record_stride), record_stride)) * dt
 
 
 # The windowed path of integrate_reduced (parareal: Lions, Maday & Turinici, C. R. Acad.
@@ -356,15 +340,17 @@ def _rk4_parareal(y0, dt, steps, stride, alpha, m):
 
 def integrate_reduced(r0: ReducedState, alpha: float, m: float, dt: float, t_end: float,
                       record_stride: int = 1) -> ReducedTrajectory:
-    """RK4 on the (beta, gamma, zeta) system at fixed momentum; raises
-    :class:`BlowUpError` at the last finite record if a later one is not finite.
+    """RK4 on the (beta, gamma, zeta) system at fixed momentum, recorded on
+    :func:`~damped_szego.solver.run_grid`; raises :class:`BlowUpError` at the last
+    finite record if a later one is not finite.
 
     A long run at a fine step is taken by parareal sweeps over windows of whole record
     intervals (:func:`_rk4_parareal`), its records equal to the sequential loop's to
     roundoff; every other run takes the sequential loop.
     """
     zeta = complex(r0.zeta)
-    steps = _record_steps(_n_steps(dt, t_end, record_stride), record_stride)
+    n, recorded = run_grid(dt, t_end, record_stride)
+    steps = [*recorded, n]
     ts = np.array(steps) * dt
     y0 = (float(r0.beta), float(r0.gamma), zeta.real, zeta.imag)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -401,8 +387,9 @@ def gamma_tail_fit(traj: ReducedTrajectory, window=None) -> float:
     if int(mask.sum()) < MIN_TAIL_SAMPLES:
         raise FitError(f"window [{lo}, {hi}] contains {int(mask.sum())} samples; "
                        f"need >= {MIN_TAIL_SAMPLES}")
-    if traj.gamma[-1] > 0.25 * traj.gamma[0]:
-        raise FitError("gamma has not decayed; trajectory is not in the exploding regime")
+    if classify_w_run(traj) == "bounded":
+        raise FitError("trajectory is not in the exploding regime: classify_w_run reads "
+                       "it bounded")
     return float(np.mean(traj.gamma[mask] * traj.t[mask]))
 
 
@@ -530,7 +517,7 @@ def _manifold_terms(beta_inf: float, alpha: float, m: float, t: float) -> np.nda
 
 def _backward_grid(t_start, t_end_back):
     """Step count and step of the backward run from t_start to t_end_back."""
-    n_steps = max(1, int(round((t_start - t_end_back) / BACKWARD_STEP)))
+    n_steps = run_grid(BACKWARD_STEP, t_start - t_end_back)[0]
     return n_steps, (t_start - t_end_back) / n_steps
 
 
@@ -699,8 +686,9 @@ def growth_fit(traj: ReducedTrajectory, constants: AsymptoticConstants,
     exponent 2s-1 (geometric mean of hs / t^{2s-1}), which keeps it
     well-conditioned when the fitted exponent is still drifting.
     """
-    if traj.gamma[-1] > 0.25 * traj.gamma[0]:  # gamma/M = 1 - |p|^2
-        raise FitError("trajectory is not in the exploding regime (|p| not tending to 1)")
+    if classify_w_run(traj) == "bounded":
+        raise FitError("trajectory is not in the exploding regime: classify_w_run reads "
+                       "it bounded")
     t_end = float(traj.t[-1])
     lo, hi = 0.1 * t_end, t_end
     mask = traj.t >= lo
@@ -730,7 +718,10 @@ def classify_w_run(traj: ReducedTrajectory) -> str:
     """Label a rank-one run ``"exploding"`` or ``"bounded"``.
 
     Exploding runs have 1 - |p|^2 = gamma/M eventually decreasing monotonically
-    toward zero; bounded runs keep |p| away from 1.
+    toward zero; bounded runs keep |p| away from 1.  The label reads exploding when
+    gamma/M decreases over the second half of the records and ends below half its
+    start, so a short horizon can flip it.  :func:`growth_fit` and
+    :func:`gamma_tail_fit` refuse a run it reads bounded.
     """
     one_minus = traj.gamma / traj.momentum
     half = one_minus[one_minus.shape[0] // 2 :]

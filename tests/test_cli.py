@@ -36,6 +36,7 @@ from damped_szego.presets import (
     verify_identities,
 )
 from damped_szego.reporting import csv_table, json_text, spectrum_csv
+from damped_szego.solver import later_times
 from damped_szego.wmanifold import WState, asymptotic_constants, w_to_hardy
 from helpers import fmt, reference_integrate_w, reference_sobolev_sq_w
 
@@ -572,6 +573,15 @@ def test_wode_payload_matches_the_bcp_reference_run(tmp_path, capsys, p):
     assert fit["fitted"] == pytest.approx(prefactor, rel=1e-10, abs=0)
 
 
+def test_wode_fits_every_run_it_labels_exploding(capsys):
+    # gamma/M falls over the second half to below half its start but ends above a quarter
+    # of it: the growth fit once refused the run, and wode exited 3 with no output
+    assert main(["wode", "--b", "0.3", "--c", "1", "--p", "0.1", "--t-end", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "exploding"
+    assert len(payload["fits"]) == 1
+
+
 @pytest.mark.parametrize("c", ["10", "30"])
 def test_wode_step_too_large_for_the_momentum_is_a_blow_up(tmp_path, c):
     # M = 178 and 1600 at dt = 1e-3: the reduced chart stays finite, but its records leave
@@ -637,12 +647,30 @@ def test_two_poles_needs_a_later_snapshot():
         with pytest.raises(ConfigError) as err:
             build_config("two_poles", overrides)
         assert err.value.field == "snapshot_times"
-    assert build_config("two_poles").later_snapshots() == (2.5, 5.0)
+    cfg = build_config("two_poles")
+    assert later_times(cfg.snapshot_times, cfg.dt, cfg.t_end) == (2.5, 5.0)
+
+
+def test_snapshot_past_the_last_step_is_a_configuration_error(tmp_path):
+    # the grid of t_end = 1.0005 at dt = 1e-3 ends at step 1000, t = 1: the snapshot at
+    # 1.0005 lies past it, and the run once died there with a ValueError
+    cfg = tmp_path / "snap.cfg"
+    cfg.write_text("t_end = 1.0005\ndt = 1e-3\nsnapshot_times = 0,1.0005\nn = 64\n"
+                   "spectrum_size = 16\n")
+    proc = run_cli("simulate", "--preset", "two_poles", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2, proc.stderr
+    assert "field 'snapshot_times'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # snapshots past the end are dropped: --t-end 3 runs with 2.5 of the defaults
+    cfg = build_config("two_poles", {"t_end": 3.0})
+    assert later_times(cfg.snapshot_times, cfg.dt, cfg.t_end) == (2.5,)
 
 
 def test_snapshot_times_at_zero_and_past_t_end_are_accepted():
     cfg = build_config("custom", {"snapshot_times": (0.0, 1e300)})
-    assert cfg.snapshot_times == (0.0, 1e300) and cfg.later_snapshots() == ()
+    assert cfg.snapshot_times == (0.0, 1e300)
+    assert later_times(cfg.snapshot_times, cfg.dt, cfg.t_end) == ()
 
 
 # The file-only keys: finite snapshot times >= 0, and gamma = M (1 - |p|^2) in (0, M]
@@ -806,6 +834,9 @@ def test_baby_reads_m_from_initial_data():
     # the backward run's step count must fit a machine-sized integer
     (["simulate", "--preset", "stable_manifold", "--t-end-back=-1e300"], "t_end_back"),
     (["simulate", "--preset", "stable_manifold", "--t-end-back=-1e306"], "t_end_back"),
+    # a run keeps at most 2^24 records (both once died of a MemoryError)
+    (["wode", "--t-end", "1e13", "--record-stride", "1"], "t_end"),
+    (["simulate", "--preset", "kappa_fit", "--t-end", "1e12"], "t_end"),
 ])
 def test_cli_bad_flags_are_configuration_errors(tmp_path, argv, field):
     proc = run_cli(*argv, "--out", str(tmp_path / "out"))

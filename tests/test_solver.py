@@ -18,7 +18,9 @@ from damped_szego.solver import (
     check_lyapunov,
     evolve,
     rk4_step,
+    run_grid,
 )
+from damped_szego.wmanifold import ReducedState, integrate_reduced
 
 from helpers import (
     full_grid_evolve,
@@ -238,6 +240,28 @@ def test_evolve_snapshots():
     result = evolve(u0, cfg, snapshot_times=(0.0, 0.5, 1.0))
     assert [t for t, _ in result.snapshots] == [0.0, 0.5, 1.0]
     assert np.array_equal(result.snapshots[0][1].coeffs, u0.coeffs)
+    # t_end = 1.0005 ends the grid at step 1000, t = 1: a snapshot at 1.0005 lies past it
+    cfg = SolverConfig(alpha=1.0, dt=1e-3, t_end=1.0005, grid_size=64)
+    with pytest.raises(ValueError, match="outside"):
+        evolve(u0, cfg, snapshot_times=(0.0, 1.0005))
+
+
+# (dt, t_end, stride): t_end off the step grid, a stride that does not divide the step
+# count, a stride past the end, a single step
+@pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")
+@pytest.mark.parametrize("dt, t_end, stride", [(1e-3, 1.0005, 7), (1e-3, 0.1, 10),
+                                               (2e-3, 0.05, 1), (0.01, 0.3, 50),
+                                               (0.1, 0.07, 3)])
+def test_every_integrator_records_on_the_run_grid(dt, t_end, stride):
+    n, recorded = run_grid(dt, t_end, stride)
+    want = np.array([*recorded, n]) * dt
+    cfg = SolverConfig(alpha=1.0, dt=dt, t_end=t_end, grid_size=64, record_stride=stride)
+    pde = evolve(pole_state(0.5, 64), cfg).diagnostics.t
+    ode = integrate_reduced(ReducedState(0.0, 1.0, 0j), 1.0, 2.0, dt, t_end, stride).t
+    assert pde.tobytes() == ode.tobytes() == want.tobytes()
+    assert cfg.n_steps == n and want[-1] == n * dt
+    if t_end == 1.0005:
+        assert n == 1000 and len(want) == 144
 
 
 @pytest.mark.filterwarnings("ignore::damped_szego.errors.ResolutionLossWarning")

@@ -17,7 +17,7 @@ from damped_szego.errors import (
 )
 from damped_szego.hardy import from_grid, grid_points
 from damped_szego.presets import build_config, run_experiment, spectrum_report
-from damped_szego.solver import SolverConfig, evolve
+from damped_szego.solver import SolverConfig, evolve, run_grid
 from damped_szego.wmanifold import (
     ReducedState,
     ReducedTrajectory,
@@ -31,7 +31,6 @@ from damped_szego.wmanifold import (
     integrate_reduced,
     linearization_matrix,
     linearized_q0,
-    record_times,
     require_rank_one,
     sobolev_sq_w,
     stable_manifold_trajectory,
@@ -39,7 +38,6 @@ from damped_szego.wmanifold import (
 )
 from damped_szego.wmanifold import (
     _manifold_terms,
-    _record_steps,
     _rk4_reduced,
 )
 from helpers import (
@@ -262,7 +260,8 @@ def test_non_finite_runs_raise_blow_up_at_last_finite_record():
     with pytest.raises(BlowUpError) as err:
         integrate_reduced(ReducedState(0.0, 750.0, 0j), 1.0, 1e3, dt=1e-2, t_end=5.0,
                           record_stride=1)
-    assert err.value.t_reached in record_times(1e-2, 5.0, 1)
+    n, recorded = run_grid(1e-2, 5.0)
+    assert err.value.t_reached in np.array([*recorded, n]) * 1e-2
 
 
 @pytest.mark.parametrize("c", [10.0, 30.0])
@@ -437,6 +436,12 @@ def test_stable_manifold_matches_reference_run():
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
+def record_steps(n_steps, stride):
+    """The steps a run of ``n_steps`` steps records: run_grid's, at dt = 1."""
+    n, recorded = run_grid(1.0, n_steps, stride)
+    return [*recorded, n]
+
+
 # (n_steps, stride): a single step, a stride past the end, a partial last chunk
 RUN_SHAPES = [(1, 1), (1, 4), (5, 9), (10, 3), (12, 4), (37, 1)]
 _UNIT = st.floats(-1.0, 1.0)
@@ -449,7 +454,7 @@ _UNIT = st.floats(-1.0, 1.0)
 def test_fused_real_loops_equal_references_bitwise(n_steps, stride, beta, gamma, zr, zi,
                                                    alpha, m, dt, backward):
     dt = -dt if backward else dt
-    steps = _record_steps(n_steps, stride)
+    steps = record_steps(n_steps, stride)
     y0 = (beta, gamma, zr, zi)
     # both charts: gamma doubles as x = gamma - g0
     for g0 in (0.0, m):
@@ -469,7 +474,7 @@ def test_fused_real_loops_equal_references_bitwise(n_steps, stride, beta, gamma,
 def test_reduced_loop_on_arrays_equals_scalar_runs_bitwise(n_steps, stride, seed, alpha, m,
                                                            dt, backward):
     dt = -dt if backward else dt
-    steps = _record_steps(n_steps, stride)
+    steps = record_steps(n_steps, stride)
     rng = np.random.default_rng(seed)
     y0 = (rng.uniform(0.0, 1.0, 7), *rng.uniform(-1.0, 1.0, (3, 7)))
     before = [v.copy() for v in y0]
@@ -496,7 +501,7 @@ def test_windowed_reduced_run_matches_sequential_loop(alpha, m, ratio, stride, w
     n_steps = windows * window_steps + tail % window_steps
     r0 = ReducedState(0.0, ratio * m, 0j)
     traj = integrate_reduced(r0, alpha, m, dt, n_steps * dt, record_stride=stride)
-    steps = _record_steps(n_steps, stride)
+    steps = record_steps(n_steps, stride)
     want = _rk4_reduced((0.0, ratio * m, 0.0, 0.0), dt, steps, alpha, m)
     got = np.column_stack([traj.beta, traj.gamma, traj.zeta.real, traj.zeta.imag])
     assert np.array_equal(traj.t, np.array(steps) * dt)
@@ -558,7 +563,7 @@ def test_rank_one_loops_make_no_python_call_per_step():
     runs = [
         lambda n: integrate_reduced(r0, 1.0, 2.0, 1e-3, n * 1e-3, record_stride=n // 10),
         # the stable manifold's chart: x = -delta at g0 = M
-        lambda n: _rk4_reduced((0.01, -0.005, 0.0, -0.001), -1e-3, _record_steps(n, n // 10),
+        lambda n: _rk4_reduced((0.01, -0.005, 0.0, -0.001), -1e-3, record_steps(n, n // 10),
                                1.0, 2.0, 2.0),
     ]
     for run in runs:
@@ -691,6 +696,27 @@ def test_gamma_tail_fit_rejects_constant_gamma():
                              zeta=np.zeros_like(t, dtype=complex), momentum=2.0)
     with pytest.raises(FitError):
         gamma_tail_fit(traj)
+
+
+# gamma/M falling to 0.4 of its start (the fits once refused it, above a quarter), and
+# falling to 0.1 then rising to 0.2 over the second half (the fits once ran on it)
+@pytest.mark.parametrize("gamma, label", [
+    (np.linspace(1.0, 0.4, 200), "exploding"),
+    (np.r_[np.linspace(1.0, 0.1, 150), np.linspace(0.1, 0.2, 50)], "bounded"),
+])
+def test_fits_refuse_exactly_the_runs_labelled_bounded(gamma, label):
+    t = np.linspace(0.0, 20.0, 200)
+    traj = ReducedTrajectory(t=t, beta=np.zeros_like(t), gamma=gamma,
+                             zeta=np.zeros_like(t, dtype=complex), momentum=1.0)
+    assert classify_w_run(traj) == label
+    fits = [lambda: gamma_tail_fit(traj),
+            lambda: growth_fit(traj, asymptotic_constants(1.0, 1.0), s=1.0)]
+    for fit in fits:
+        if label == "bounded":
+            with pytest.raises(FitError, match="not in the exploding regime"):
+                fit()
+        else:
+            fit()
 
 
 def test_gamma_tail_fit_rejects_short_window():
